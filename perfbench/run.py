@@ -3,7 +3,7 @@
 
 Run one workload from the root of a knor checkout:
 
-    python3 perfbench/run.py --workload knori-natural --seed 1 --seconds 35 --trace 0
+    python3 perfbench/run.py --workload knori-natural --seed 1 --seconds 32 --trace 0
 
 The last line of standard output is the JSON result. The benchmark is built
 from source into $CARGO_TARGET_DIR (default .bench_build) on first use.

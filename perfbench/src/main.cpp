@@ -10,6 +10,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <malloc.h>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -46,6 +47,9 @@ struct Workload {
   int max_iters;     ///< at tolerance 0; inputs are shaped so seeds reach it
   int threads;       ///< engine threads (knord: ranks x 1 thread)
   index_t bulk_rows;  ///< rows of the bulk assign_file query file
+  /// Heavy open-loop rate (8-row requests/s): about half the closed-loop
+  /// capacity measured for this workload's model (README.md, "Workloads").
+  double heavy_rps;
 };
 
 // The three workloads. Each trains a model with one engine and then serves
@@ -54,17 +58,20 @@ struct Workload {
 // busy (README.md, "Noise findings"): knors runs 2 workers + 1 I/O thread.
 const Workload kWorkloads[] = {
     {"knori-natural", "natural", Engine::kKnori, true, 1 << 18, 16, 16, 24, 3,
-     1 << 19},
+     1 << 19, 150000},
     {"knors-natural", "natural", Engine::kKnors, true, 1 << 18, 16, 16, 24, 2,
-     1 << 19},
+     1 << 19, 150000},
     {"knord-uniform", "uniform", Engine::kKnord, false, 1 << 19, 32, 64, 8, 3,
-     1 << 18},
+     1 << 18, 70000},
 };
 
 constexpr double kWarmupS = 1.0;
-constexpr int kSetupReps = 9;
+/// Set-ups timed at the end of every round, so that setup_s samples the
+/// whole run like the other metrics rather than the first second of it.
+constexpr int kSetupsPerRound = 2;
 constexpr std::size_t kMinRounds = 3;
-/// Trace runs: rounds before the engine tracer is switched on.
+/// Trace runs switch the engine tracer on (it has no off switch) half-way
+/// through the rounds, and never before this many untraced rounds.
 constexpr std::size_t kUntracedRounds = 2;
 constexpr index_t kPoolRows = 1 << 14;
 /// knord's interconnect: 50 µs hops at 1.25 GB/s, dist/netsim.hpp's
@@ -109,26 +116,34 @@ knor::Result solve(const Workload& w, const DenseMatrix& data,
   throw std::logic_error("unknown engine");
 }
 
-/// Independent check of a clustering: every centroid is the mean of its
-/// members and the energy is the sum of squared member distances (within
-/// summation-order rounding). Returns the number of violated properties.
-int solution_violations(const DenseMatrix& X, const knor::Result& r, int k) {
-  const index_t n = X.rows(), d = X.cols();
+/// Independent check of a clustering of the rows in `kmat`: every centroid
+/// is the mean of its members and the energy is the sum of squared member
+/// distances (within summation-order rounding). The rows are streamed from
+/// the file, so knors's check holds no copy of them. Returns the number of
+/// violated properties.
+int solution_violations(const std::string& kmat, const knor::Result& r, int k) {
+  knor::data::RowReader reader(kmat);
+  const index_t n = reader.n(), d = reader.d();
   if (r.assignments.size() != n || r.centroids.rows() != static_cast<index_t>(k) ||
       r.centroids.cols() != d)
     return 1;
   std::vector<double> sums(static_cast<std::size_t>(k) * d, 0.0);
   std::vector<std::uint64_t> counts(static_cast<std::size_t>(k), 0);
   double energy = 0;
-  for (index_t i = 0; i < n; ++i) {
-    const knor::cluster_t a = r.assignments[i];
-    if (a >= static_cast<knor::cluster_t>(k)) return 1;
-    ++counts[a];
-    const double* x = X.row(i);
-    const double* c = r.centroids.row(a);
-    for (index_t j = 0; j < d; ++j) {
-      sums[a * d + j] += x[j];
-      energy += (x[j] - c[j]) * (x[j] - c[j]);
+  DenseMatrix chunk(std::min<index_t>(n, 1 << 14), d);
+  for (index_t begin = 0; begin < n; begin += chunk.rows()) {
+    const index_t end = std::min<index_t>(n, begin + chunk.rows());
+    reader.read(begin, end, chunk.view().sub_rows(0, end - begin));
+    for (index_t i = begin; i < end; ++i) {
+      const knor::cluster_t a = r.assignments[i];
+      if (a >= static_cast<knor::cluster_t>(k)) return 1;
+      ++counts[a];
+      const double* x = chunk.row(i - begin);
+      const double* c = r.centroids.row(a);
+      for (index_t j = 0; j < d; ++j) {
+        sums[a * d + j] += x[j];
+        energy += (x[j] - c[j]) * (x[j] - c[j]);
+      }
     }
   }
   int bad = 0;
@@ -294,8 +309,6 @@ int run(const Args& args) {
 
   Report rep;
   Spans spans;
-  // The bulk query file is built first and its rows freed before the
-  // training rows exist, so it does not set the peak RSS.
   const DenseMatrix pool =
       query_rows(w.natural, args.seed, kPoolRows, w.d, w.k);
   {
@@ -305,41 +318,48 @@ int run(const Args& args) {
                 bulk_rows.row(i));
     knor::data::write_matrix(bulk, bulk_rows);
   }
+  sync_file(bulk);
   Inputs in = w.natural ? natural_inputs(args.seed, w.n, w.d, w.k)
                         : uniform_inputs(args.seed, w.n, w.d, w.k);
   std::cout << "host " << host_fingerprint_json(in.rows.size() * sizeof(double))
             << "\n";
 
-  warm_up(kWarmupS);
-
-  // ---- set-up: load the data through matrix_io, bring up serving ----------
-  // One copy of the rows at a time: the round trip is checked by checksum.
   DenseMatrix data = std::move(in.rows);
   const std::uint64_t sum = checksum(data);
-  std::uint64_t bad_loads = 0;
-  for (int rep_i = 0; rep_i < kSetupReps; ++rep_i) {
+  knor::data::write_matrix(kmat, data);
+  // The input files go to disk now, so that their writeback does not run
+  // under a timed section later.
+  sync_file(kmat);
+  // knors clusters from the .kmat: the rows in memory are only set-up's.
+  if (w.engine == Engine::kKnors) data = DenseMatrix();
+
+  // ---- set-up: load the data through matrix_io, bring up serving ----------
+  // One copy of the rows at a time: the .kmat is read back, checked by
+  // checksum and written again.
+  std::uint64_t setups = 0, bad_loads = 0;
+  auto set_up = [&] {
     spans.measure("setup", [&] {
-      spans.measure("data.write", [&] { knor::data::write_matrix(kmat, data); });
       data = DenseMatrix();
       spans.measure("data.read", [&] { data = knor::data::read_matrix(kmat); });
+      spans.measure("data.write", [&] { knor::data::write_matrix(kmat, data); });
       spans.measure("serve.construct", [&] {
         knor::serve::QueryFrontEnd fe(in.init, serve_options(kServeWorkers));
         knor::stream::AssignServer srv(in.init, serve_options(kBulkThreads));
       });
     });
+    ++setups;
     bad_loads += data.rows() != w.n || data.cols() != w.d || checksum(data) != sum;
-  }
-  rep.ops(kSetupReps, bad_loads, ".kmat round trips that changed the rows");
+    if (w.engine == Engine::kKnors) data = DenseMatrix();
+  };
 
-  // Set-up leaves most cores idle; warm them again so the first round is
-  // not the one that pays for it.
   warm_up(kWarmupS);
 
-  // ---- rounds: train the model, then serve it ------------------------------
-  // Each round is one clustering run plus one round of serving, repeated
-  // for --seconds, so every metric samples the whole run and a host stall
-  // moves one round, not one metric. Trace runs enable the engine tracer
-  // after kUntracedRounds rounds; the rest of the run is traced.
+  // ---- rounds: train the model, serve it, set up again ---------------------
+  // Each round is one clustering run, one round of serving and
+  // kSetupsPerRound set-ups, repeated for --seconds, so every metric samples
+  // the whole run and a host stall moves one round, not one metric. The
+  // first clustering run follows the warm-up directly. Trace runs enable
+  // the engine tracer for the second half of the run.
   const auto expected = args.expect.find(isa);
   if (expected == args.expect.end())
     rep.note("no recorded fingerprint for " + std::string(w.fit) + " seed " +
@@ -353,7 +373,9 @@ int run(const Args& args) {
   // iter_s holds one mean iteration time per run: knors's per-iteration
   // times are bimodal (row-cache refresh iterations), and a median over
   // pooled iterations flips between the modes from seed to seed.
-  std::vector<double> solve_s, traced_solve_s, iter_s, solve_cpu;
+  std::vector<double> solve_s, traced_solve_s, iter_s, solve_cpu, solve_rss;
+  std::size_t process_peak_rss = 0;
+  bool traced = false;
   std::vector<std::string> det_diff;  // kDeterministic metrics that moved
   auto note_det_diff = [&](const std::string& m) {
     if (std::find(det_diff.begin(), det_diff.end(), m) == det_diff.end())
@@ -365,19 +387,31 @@ int run(const Args& args) {
   StealMeter steal;
   const Clock::time_point t_run = Clock::now();
   while (runs < kMinRounds || seconds_since(t_run) < args.seconds) {
-    const bool traced = args.trace && runs >= kUntracedRounds;
-    if (traced) knor::obs::Tracer::global().enable();
+    if (args.trace && !traced && runs >= kUntracedRounds &&
+        seconds_since(t_run) >= args.seconds / 2) {
+      traced = true;
+      knor::obs::Tracer::global().enable();
+    }
     knor::Result r;
+    // peak_rss_mb is the peak RSS of the clustering call, so that neither
+    // the benchmark's own buffers nor serving set it: freed heap goes back
+    // to the kernel and VmHWM, a high-water mark that freeing does not
+    // lower, restarts from the current RSS.
+    process_peak_rss = std::max(process_peak_rss, knor::peak_rss_bytes());
+    malloc_trim(0);
+    const bool rss_reset = reset_peak_rss();
     const double cpu0 = process_cpu_s();
     const double t = spans.measure(traced ? "solve.traced" : "solve", [&] {
       r = solve(w, data, kmat, in.init, runs == 0 ? &sem_stats : nullptr);
     });
     (traced ? traced_solve_s : solve_s).push_back(t);
     solve_cpu.push_back(process_cpu_s() - cpu0);
+    if (rss_reset)
+      solve_rss.push_back(static_cast<double>(knor::peak_rss_bytes()) / (1 << 20));
     const auto& it = r.iter_times.samples();
     iter_s.push_back(r.iter_times.mean());
     const Fingerprint fp = fingerprint(r);
-    bool ok = runs == 0 ? solution_violations(data, r, w.k) == 0
+    bool ok = runs == 0 ? solution_violations(kmat, r, w.k) == 0
                         : same_fingerprint(fp, fingerprint(first));
     if (expected != args.expect.end() &&
         !same_fingerprint(fp, parse_fingerprint(expected->second))) {
@@ -387,8 +421,8 @@ int run(const Args& args) {
     bad_solves += !ok;
     if (runs == 0) {
       first = std::move(r);
-      serving = std::make_unique<ServeBench>(first.centroids, pool, bulk,
-                                             derive_seed(args.seed, 100));
+      serving = std::make_unique<ServeBench>(
+          first.centroids, pool, bulk, w.heavy_rps, derive_seed(args.seed, 100));
     } else {
       for (const std::string& m : det_differences(first.metrics, r.metrics))
         note_det_diff(m);
@@ -396,8 +430,16 @@ int run(const Args& args) {
     }
     ++runs;
     serving->round(spans, rep);
+    for (int i = 0; i < kSetupsPerRound; ++i) set_up();
   }
   steal.stop();
+  rep.ops(setups, bad_loads, ".kmat round trips that changed the rows");
+  process_peak_rss = std::max(process_peak_rss, knor::peak_rss_bytes());
+  if (solve_rss.empty()) {
+    rep.note("the kernel refused to reset VmHWM; peak_rss_mb is the whole "
+             "process's peak");
+    solve_rss.push_back(static_cast<double>(process_peak_rss) / (1 << 20));
+  }
   rep.ops(runs, bad_solves, "clustering runs that were wrong");
   rep.note("fingerprint " + std::string(w.fit) + " " +
            std::to_string(args.seed) + " " + isa + " " +
@@ -425,14 +467,12 @@ int run(const Args& args) {
   for (const std::string& m : det_diff)
     rep.note("kDeterministic metric '" + m + "' differs between runs");
 
-  const std::vector<double> setups = spans.durations("setup");
   if (!args.trace) {
     rep.set("solve_s", median(solve_s), "s");
     rep.set("iter_ms", median(iter_s) * 1e3, "ms");
     rep.set("solve_cpu_s", median(solve_cpu), "s");
-    rep.set("setup_s", median(setups), "s");
-    rep.set("peak_rss_mb", static_cast<double>(knor::peak_rss_bytes()) / (1 << 20),
-            "MB");
+    rep.set("setup_s", median(spans.durations("setup")), "s");
+    rep.set("peak_rss_mb", median(solve_rss), "MB");
     rep.set("capacity_rows_per_cpu_s", sv.capacity_rows_per_cpu_s, "rows/cpu-s");
     rep.set("bulk_rows_per_cpu_s", sv.bulk_rows_per_cpu_s, "rows/cpu-s");
   } else {
@@ -458,13 +498,15 @@ int run(const Args& args) {
           knor::kernels::ops_for(knor::kernels::Isa::kAuto);
       knor::kernels::CentroidPack pack;
       pack.pack(first.centroids);
-      const index_t rows = std::min<index_t>(data.rows(), 1 << 16);
+      const index_t rows = std::min<index_t>(w.n, 1 << 16);
+      DenseMatrix head(rows, w.d);
+      knor::data::read_rows(kmat, 0, rows, head.view());
       std::vector<knor::cluster_t> out(rows);
       for (int r = 0; r < 5; ++r)
         ns.push_back(spans.measure("kernels.nearest_blocked", [&] {
           double sq = 0;
           for (index_t i = 0; i < rows; ++i)
-            out[i] = K.nearest_blocked(data.row(i), pack, &sq);
+            out[i] = K.nearest_blocked(head.row(i), pack, &sq);
         }) * 1e9 / static_cast<double>(rows));
     }
     const double ns_per_row = median(ns);
@@ -604,7 +646,9 @@ int run(const Args& args) {
     rep.set("serve.compute_p99_ms", sv.compute_p99_ms, "ms");
     rep.set("serve.batch_rows_mean", sv.batch_rows_mean, "rows");
     rep.set("serve.shed", sv.shed, "count");
+    rep.set("loadgen.late_p50_ms", sv.late_p50_ms, "ms");
     rep.set("loadgen.late_p99_ms", sv.late_p99_ms, "ms");
+    rep.set("serve.heavy_load_frac", sv.heavy_load_frac, "ratio");
     rep.set("stream.assign.io_stall_s", sv.io_stall_s, "s");
     rep.set("stream.assign.compute_wait_s", sv.compute_wait_s, "s");
     rep.set("stream.assign.batch_mean_ms", sv.batch_mean_ms, "ms");
@@ -612,8 +656,13 @@ int run(const Args& args) {
     rep.set("data.write_s", median(spans.durations("data.write")), "s");
     rep.set("data.read_s", median(spans.durations("data.read")), "s");
 
-    rep.set("obs.trace_overhead", median(traced_solve_s) / median(solve_s),
+    // Traced rounds against the untraced ones after the first (cold) one.
+    rep.set("obs.trace_overhead",
+            median(traced_solve_s) /
+                median(std::vector<double>(solve_s.begin() + 1, solve_s.end())),
             "ratio");
+    rep.set("mem.process_peak_rss_mb",
+            static_cast<double>(process_peak_rss) / (1 << 20), "MB");
     rep.set("mem.peak_bytes",
             static_cast<double>(knor::MemoryTracker::instance().peak_bytes()),
             "bytes");

@@ -24,8 +24,13 @@ constexpr double kShedLatencyMs = 1e9;
 constexpr index_t kRowsPerRequest = 8;
 constexpr int kTopmEvery = 4;  ///< every 4th request is a top-m query
 constexpr int kTopM = 4;
-constexpr double kLightRps = 5000;   ///< fixed open-loop rates
-constexpr double kHeavyRps = 50000;
+constexpr double kLightRps = 5000;  ///< light open-loop rate; heavy is per workload
+/// A window whose generator submitted half its requests more than this late
+/// fell behind its schedule, so its latencies do not describe the rate: the
+/// window counts as a failed operation. The median, not the p99, because a
+/// host preemption of 16-24 ms (README.md, "Noise findings") makes a few
+/// percent of a window late without the generator being too slow.
+constexpr double kBehindMs = 1.0;
 /// Seconds of each serving phase per round.
 constexpr double kLightS = 0.3, kHeavyS = 0.3, kCapacityS = 0.2;
 constexpr std::size_t kPipeline = 64;  ///< closed-loop requests in flight
@@ -176,6 +181,8 @@ OpenLoopOut open_loop(knor::serve::QueryFrontEnd& fe, const Oracle& oracle,
   }
   while (!inflight.empty()) settle_front();
   rep.ops(plan.size(), bad, what + " requests wrong or shed");
+  rep.ops(1, quantile(out.late_ms, 0.5) > kBehindMs,
+          what + " windows whose generator fell behind its schedule");
   return out;
 }
 
@@ -240,8 +247,9 @@ knor::Options serve_options(int threads) {
 
 struct ServeBench::State {
   State(const DenseMatrix& c, const DenseMatrix& p, std::string path,
-        std::uint64_t sd)
+        double heavy, std::uint64_t sd)
       : seed(sd),
+        heavy_rps(heavy),
         pool(p),
         bulk_path(std::move(path)),
         oracle(p, c, kTopM),
@@ -252,6 +260,7 @@ struct ServeBench::State {
         got(bulk_rows) {}
 
   const std::uint64_t seed;
+  const double heavy_rps;
   const DenseMatrix& pool;
   const std::string bulk_path;
   const Oracle oracle;
@@ -264,16 +273,18 @@ struct ServeBench::State {
   // One entry per round; nothing grows with the request count, so peak RSS
   // does not depend on how many rounds fit in the run.
   int rounds = 0;
-  std::vector<double> light_p50, light_p99, heavy_p50, heavy_p99, late_p99;
+  std::vector<double> light_p50, light_p99, heavy_p50, heavy_p99;
+  std::vector<double> late_p50, late_p99;
   std::vector<double> queue_p99, compute_p99;
   std::vector<double> capacity, capacity_cpu, bulk, bulk_cpu;
   std::vector<double> io_stall, compute_wait;
 };
 
 ServeBench::ServeBench(const DenseMatrix& centroids, const DenseMatrix& pool,
-                       std::string bulk_path, std::uint64_t seed)
+                       std::string bulk_path, double heavy_rps,
+                       std::uint64_t seed)
     : s_(std::make_unique<State>(centroids, pool, std::move(bulk_path),
-                                 seed)) {}
+                                 heavy_rps, seed)) {}
 
 ServeBench::~ServeBench() = default;
 
@@ -290,13 +301,14 @@ void ServeBench::round(Spans& spans, Report& rep) {
     });
     p50s.push_back(quantile(o.lat_ms, 0.50));
     p99s.push_back(quantile(o.lat_ms, 0.99));
+    s.late_p50.push_back(quantile(o.late_ms, 0.50));
     s.late_p99.push_back(quantile(o.late_ms, 0.99));
     s.queue_p99.push_back(quantile(o.queue_ms, 0.99));
     s.compute_p99.push_back(quantile(o.compute_ms, 0.99));
   };
   window("serve.open_loop_light", kLightRps, kLightS, 1,
          s.light_p50, s.light_p99);
-  window("serve.open_loop_heavy", kHeavyRps, kHeavyS, 2,
+  window("serve.open_loop_heavy", s.heavy_rps, kHeavyS, 2,
          s.heavy_p50, s.heavy_p99);
   double cpu0 = process_cpu_s();
   ClosedLoopOut c;
@@ -340,9 +352,12 @@ ServeResult ServeBench::result() const {
   out.p99_light_ms = median(s.light_p99);
   out.p50_heavy_ms = median(s.heavy_p50);
   out.p99_heavy_ms = median(s.heavy_p99);
-  // The generator's worst window: one that fell behind invalidates the run.
+  // The generator's worst windows (one whose median is over kBehindMs has
+  // already failed the run).
+  out.late_p50_ms = *std::max_element(s.late_p50.begin(), s.late_p50.end());
   out.late_p99_ms = *std::max_element(s.late_p99.begin(), s.late_p99.end());
   out.capacity_rows_per_s = median(s.capacity);
+  out.heavy_load_frac = s.heavy_rps * kRowsPerRequest / out.capacity_rows_per_s;
   out.bulk_rows_per_s = median(s.bulk);
   out.capacity_rows_per_cpu_s = median(s.capacity_cpu);
   out.bulk_rows_per_cpu_s = median(s.bulk_cpu);

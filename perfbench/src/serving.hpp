@@ -26,7 +26,9 @@ struct ServeResult {
   double p50_heavy_ms = 0, p99_heavy_ms = 0;
   // Layer: serve / loadgen / stream.
   double queue_wait_p99_ms = 0, compute_p99_ms = 0, batch_rows_mean = 0;
-  double shed = 0, late_p99_ms = 0;
+  double shed = 0, late_p50_ms = 0, late_p99_ms = 0;
+  /// Heavy-window rows/s over the median closed-loop capacity.
+  double heavy_load_frac = 0;
   double io_stall_s = 0, compute_wait_s = 0, batch_mean_ms = 0;
 };
 
@@ -36,9 +38,10 @@ struct ServeResult {
 /// as failed).
 class ServeBench {
  public:
-  /// `bulk_path` is a .kmat whose row i equals pool row i % pool.rows().
+  /// `bulk_path` is a .kmat whose row i equals pool row i % pool.rows();
+  /// `heavy_rps` is the heavy window's request rate.
   ServeBench(const knor::DenseMatrix& centroids, const knor::DenseMatrix& pool,
-             std::string bulk_path, std::uint64_t seed);
+             std::string bulk_path, double heavy_rps, std::uint64_t seed);
   ~ServeBench();
   ServeBench(const ServeBench&) = delete;
   ServeBench& operator=(const ServeBench&) = delete;

@@ -7,7 +7,11 @@
 #include <ctime>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
+
+#include <fcntl.h>
+#include <unistd.h>
 
 namespace pb {
 
@@ -15,6 +19,20 @@ double process_cpu_s() {
   timespec ts{};
   clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
   return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+bool reset_peak_rss() {
+  std::ofstream f("/proc/self/clear_refs");
+  f << "5";
+  f.flush();
+  return static_cast<bool>(f);
+}
+
+void sync_file(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  const bool ok = fd >= 0 && ::fsync(fd) == 0;
+  if (fd >= 0) ::close(fd);
+  if (!ok) throw std::runtime_error("cannot sync " + path);
 }
 
 void StealMeter::read(std::uint64_t* steal, std::uint64_t* total) {

@@ -24,6 +24,14 @@ inline double seconds_since(Clock::time_point t0) {
 /// time it excludes time the hypervisor gave to other guests.
 double process_cpu_s();
 
+/// Resets the process's peak RSS (VmHWM) to its current RSS; false when the
+/// kernel refuses. Linux only: writes "5" to /proc/self/clear_refs.
+bool reset_peak_rss();
+
+/// Writes the file's dirty pages to the device and waits (fsync); throws
+/// when that fails.
+void sync_file(const std::string& path);
+
 /// Share of all CPUs' time the hypervisor gave to other guests between
 /// construction and stop() (the "steal" column of /proc/stat).
 class StealMeter {
