@@ -2,9 +2,19 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <memory>
 
 namespace knor::sem {
+namespace {
+
+constexpr std::uint64_t kNoPage = std::numeric_limits<std::uint64_t>::max();
+
+// Byte ranges gathered for one cache probe. A page holding more separate
+// ranges than this is probed once per group.
+constexpr std::size_t kMaxRanges = 64;
+
+}  // namespace
 
 struct IoEngine::Ticket::State {
   std::mutex mu;
@@ -19,7 +29,7 @@ void IoEngine::Ticket::wait() {
 }
 
 struct IoEngine::Request {
-  std::vector<std::uint64_t> pages;
+  std::vector<index_t> rows;
   std::shared_ptr<Ticket::State> state;
 };
 
@@ -41,87 +51,121 @@ IoEngine::~IoEngine() {
   for (auto& t : io_threads_) t.join();
 }
 
-std::vector<std::uint64_t> IoEngine::pages_of(
-    const std::vector<index_t>& rows) const {
-  std::vector<std::uint64_t> pages;
-  pages.reserve(rows.size() * 2);
-  for (index_t r : rows) {
-    const std::uint64_t first = file_.first_page_of_row(r);
-    const std::uint64_t last = file_.last_page_of_row(r);
-    for (std::uint64_t p = first; p <= last; ++p) pages.push_back(p);
-  }
-  std::sort(pages.begin(), pages.end());
-  pages.erase(std::unique(pages.begin(), pages.end()), pages.end());
-  return pages;
-}
-
-void IoEngine::stage_pages(const std::vector<std::uint64_t>& pages) {
-  // Coalesce pages into extents: consecutive (or within merge_gap) pages
-  // become one device read — SAFS-style request merging. Gap pages inside a
-  // merged extent are read too (that is the fragmentation cost Figure 6b
-  // quantifies: the device transfers more than was requested).
-  std::size_t i = 0;
+void IoEngine::stage_pages(const std::vector<index_t>& rows) {
+  // Coalesce missing pages into extents: consecutive (or within merge_gap)
+  // pages become one device read — SAFS-style request merging. Gap pages
+  // inside a merged extent are read too (that is the fragmentation cost
+  // Figure 6b quantifies: the device transfers more than was requested).
+  const std::size_t page_size = file_.page_size();
   std::vector<unsigned char> buf;
-  while (i < pages.size()) {
-    if (cache_.contains(pages[i])) {
-      ++i;
-      continue;
-    }
-    std::size_t j = i;
-    while (j + 1 < pages.size() &&
-           pages[j + 1] - pages[j] <= 1 + merge_gap_ &&
-           !cache_.contains(pages[j + 1]))
-      ++j;
-    const std::uint64_t first = pages[i];
-    const auto count = static_cast<std::uint32_t>(pages[j] - first + 1);
-    buf.resize(static_cast<std::size_t>(count) * file_.page_size());
+  std::uint64_t first = kNoPage;  // open extent [first, last]
+  std::uint64_t last = 0;
+  const auto read_extent = [&] {
+    if (first == kNoPage) return;
+    const auto count = static_cast<std::uint32_t>(last - first + 1);
+    buf.resize(static_cast<std::size_t>(count) * page_size);
     file_.read_pages(first, count, buf.data());
     for (std::uint32_t p = 0; p < count; ++p)
-      cache_.insert(first + p, buf.data() +
-                                   static_cast<std::size_t>(p) *
-                                       file_.page_size());
-    i = j + 1;
+      cache_.insert(first + p,
+                    buf.data() + static_cast<std::size_t>(p) * page_size);
+    first = kNoPage;
+  };
+  // Ascending rows touch ascending pages; a page shared by neighbouring
+  // rows repeats back to back and is visited once.
+  std::uint64_t visited = kNoPage;
+  for (const index_t r : rows) {
+    for (std::uint64_t page = file_.first_page_of_row(r);
+         page <= file_.last_page_of_row(r); ++page) {
+      if (page == visited) continue;
+      visited = page;
+      if (cache_.contains(page)) {
+        read_extent();
+      } else if (first != kNoPage && page > last &&
+                 page - last <= 1 + std::uint64_t{merge_gap_}) {
+        last = page;
+      } else {
+        read_extent();
+        first = last = page;
+      }
+    }
   }
+  read_extent();
 }
 
 void IoEngine::fetch_rows(const std::vector<index_t>& rows, value_t* out) {
   if (rows.empty()) return;
-  bytes_requested_.fetch_add(rows.size() * file_.row_bytes(),
-                             std::memory_order_relaxed);
-  stage_pages(pages_of(rows));
-
-  // Copy each row out of its (now resident) pages.
-  const std::size_t page_size = file_.page_size();
   const std::size_t row_bytes = file_.row_bytes();
-  std::vector<unsigned char> page(page_size);
-  auto* dst = reinterpret_cast<unsigned char*>(out);
-  for (std::size_t idx = 0; idx < rows.size(); ++idx) {
-    const index_t r = rows[idx];
-    std::uint64_t off = file_.row_offset(r);
-    std::size_t remaining = row_bytes;
-    unsigned char* row_dst = dst + idx * row_bytes;
-    while (remaining > 0) {
-      const std::uint64_t page_id = off / page_size;
-      const std::size_t in_page = static_cast<std::size_t>(off % page_size);
-      const std::size_t take = std::min(remaining, page_size - in_page);
-      if (!cache_.lookup(page_id, page.data())) {
-        // Evicted between staging and copy (tiny cache): re-read directly.
-        file_.read_pages(page_id, 1, page.data());
-        cache_.insert(page_id, page.data());
+  bytes_requested_.fetch_add(rows.size() * row_bytes,
+                             std::memory_order_relaxed);
+  stage_pages(rows);
+
+  // Copy the rows out page by page. Each (row, page) piece is a byte range
+  // of that page — a row straddling pages, or wider than one, has a piece
+  // on each — and pieces of adjacent rows merge into one range. One
+  // copy_out probe copies all of a page's ranges.
+  const std::size_t page_size = file_.page_size();
+  auto* const dst = reinterpret_cast<unsigned char*>(out);
+  PageCache::Range ranges[kMaxRanges];
+  std::vector<unsigned char> page;  // miss fallback only
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::size_t idx = 0;   // row being copied
+  std::size_t done = 0;  // bytes of rows[idx] already copied
+  while (idx < rows.size()) {
+    const std::uint64_t page_id =
+        (file_.row_offset(rows[idx]) + done) / page_size;
+    const std::uint64_t page_begin = page_id * page_size;
+    const std::uint64_t page_end = page_begin + page_size;
+    std::size_t count = 0;
+    std::uint64_t pieces = 0;
+    while (idx < rows.size()) {
+      const std::uint64_t row_begin = file_.row_offset(rows[idx]);
+      const std::uint64_t from = row_begin + done;
+      if (from < page_begin || from >= page_end) break;
+      const std::uint64_t to = std::min(row_begin + row_bytes, page_end);
+      const auto offset = static_cast<std::size_t>(from - page_begin);
+      const auto len = static_cast<std::size_t>(to - from);
+      if (count > 0 &&
+          ranges[count - 1].offset + ranges[count - 1].len == offset) {
+        // Starts where the last range ends: the next row, so it follows
+        // that range in `out` too.
+        ranges[count - 1].len += len;
+      } else if (count == kMaxRanges) {
+        break;
+      } else {
+        ranges[count++] = {offset, len, dst + idx * row_bytes + done};
       }
-      std::memcpy(row_dst, page.data() + in_page, take);
-      row_dst += take;
-      off += take;
-      remaining -= take;
+      ++pieces;
+      if (to < row_begin + row_bytes) {  // the row goes on to the next page
+        done += len;
+        break;
+      }
+      ++idx;
+      done = 0;
     }
+    if (cache_.copy_out(page_id, ranges, count)) {
+      hits += pieces;
+      continue;
+    }
+    // Evicted between staging and copy (tiny cache): re-read directly.
+    page.resize(page_size);
+    file_.read_pages(page_id, 1, page.data());
+    cache_.insert(page_id, page.data());
+    for (std::size_t i = 0; i < count; ++i)
+      std::memcpy(ranges[i].dst, page.data() + ranges[i].offset,
+                  ranges[i].len);
+    misses += pieces;
   }
+  // Tallied once per call: workers share these counters' cache line.
+  if (hits > 0) page_hits_.fetch_add(hits, std::memory_order_relaxed);
+  if (misses > 0) page_misses_.fetch_add(misses, std::memory_order_relaxed);
 }
 
 IoEngine::Ticket IoEngine::prefetch(std::vector<index_t> rows) {
   Ticket ticket;
   ticket.state_ = std::make_shared<Ticket::State>();
   Request req;
-  req.pages = pages_of(rows);
+  req.rows = std::move(rows);
   req.state = ticket.state_;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -141,7 +185,7 @@ void IoEngine::io_loop() {
       req = std::move(queue_.front());
       queue_.pop_front();
     }
-    stage_pages(req.pages);
+    stage_pages(req.rows);
     {
       std::lock_guard<std::mutex> lock(req.state->mu);
       req.state->done = true;

@@ -40,9 +40,11 @@ class IoEngine {
   IoEngine(const IoEngine&) = delete;
   IoEngine& operator=(const IoEngine&) = delete;
 
-  /// Synchronously materialize rows `rows` (ascending) into `out`
-  /// (rows.size() x d). Serves from the page cache; missing pages are read
-  /// as merged extents and inserted into the cache.
+  /// Synchronously materialize rows `rows` into `out` (rows.size() x d).
+  /// Serves from the page cache; missing pages are read as merged extents
+  /// and inserted into the cache. Ascending rows cost one cache probe per
+  /// page; rows in any other order are copied correctly, with more probes.
+  /// Only device reads allocate.
   void fetch_rows(const std::vector<index_t>& rows, value_t* out);
 
   /// Handle for an in-flight prefetch.
@@ -65,20 +67,26 @@ class IoEngine {
   /// the paper's Figure 6).
   std::uint64_t bytes_requested() const { return bytes_requested_.load(); }
   void reset_stats() { bytes_requested_ = 0; }
+  /// (row, page) pieces fetch_rows copied out of the page cache, and
+  /// pieces it re-read because their page was evicted between staging and
+  /// copy, over the engine's lifetime. Tallied once per call, not per
+  /// piece.
+  std::uint64_t page_hits() const { return page_hits_.load(); }
+  std::uint64_t page_misses() const { return page_misses_.load(); }
 
  private:
   struct Request;
 
-  /// Pages touched by `rows`, deduplicated & ascending.
-  std::vector<std::uint64_t> pages_of(const std::vector<index_t>& rows) const;
-  /// Load missing pages (merged extents) into the cache.
-  void stage_pages(const std::vector<std::uint64_t>& pages);
+  /// Load the missing pages of `rows` (merged extents) into the cache.
+  void stage_pages(const std::vector<index_t>& rows);
   void io_loop();
 
   PageFile& file_;
   PageCache& cache_;
   std::uint32_t merge_gap_;
   std::atomic<std::uint64_t> bytes_requested_{0};
+  std::atomic<std::uint64_t> page_hits_{0};
+  std::atomic<std::uint64_t> page_misses_{0};
 
   std::mutex mu_;
   std::condition_variable cv_;

@@ -29,17 +29,16 @@ PageCache::PageCache(std::size_t capacity_bytes, std::size_t page_size,
   capacity_pages_ = per_part * static_cast<std::size_t>(partitions);
 }
 
-bool PageCache::lookup(std::uint64_t page_id, unsigned char* out) {
+bool PageCache::copy_out(std::uint64_t page_id, const Range* ranges,
+                         std::size_t count) {
   Partition& part = part_of(page_id);
   std::lock_guard<std::mutex> lock(part.mu);
   const auto it = part.index.find(page_id);
-  if (it == part.index.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
+  if (it == part.index.end()) return false;
   part.referenced[it->second] = 1;
-  std::memcpy(out, part.frames.data() + it->second * page_size_, page_size_);
-  hits_.fetch_add(1, std::memory_order_relaxed);
+  const unsigned char* frame = part.frames.data() + it->second * page_size_;
+  for (std::size_t i = 0; i < count; ++i)
+    std::memcpy(ranges[i].dst, frame + ranges[i].offset, ranges[i].len);
   return true;
 }
 

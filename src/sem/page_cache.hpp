@@ -4,9 +4,12 @@
 // Pages hash to partitions; each partition is an independent clock (a.k.a.
 // second-chance) cache behind its own lock, so concurrent compute and I/O
 // threads rarely contend. Capacity is given in bytes and split evenly.
+//
+// Readers never see a frame: copy_out() copies the caller's byte ranges
+// while the partition lock is held, because once it is released any
+// thread's insert may evict the page and overwrite its frame.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -26,21 +29,24 @@ class PageCache {
   /// Total page slots across partitions.
   std::size_t capacity_pages() const { return capacity_pages_; }
 
-  /// Copy page `page_id` into `out` if cached. Marks the page referenced.
-  bool lookup(std::uint64_t page_id, unsigned char* out);
+  /// `len` bytes at byte `offset` within a page, to be copied to `dst`.
+  struct Range {
+    std::size_t offset;
+    std::size_t len;
+    unsigned char* dst;
+  };
+
+  /// If page `page_id` is resident, copy every one of `ranges` out of its
+  /// frame under the partition lock, mark the page referenced and return
+  /// true. Otherwise copy nothing and return false.
+  bool copy_out(std::uint64_t page_id, const Range* ranges,
+                std::size_t count);
   /// True when the page is resident (no copy, still marks referenced).
   bool contains(std::uint64_t page_id);
   /// Insert (or refresh) a page; evicts via clock within the partition.
   void insert(std::uint64_t page_id, const unsigned char* data);
   /// Drop everything (used between bench configurations).
   void clear();
-
-  std::uint64_t hits() const { return hits_.load(); }
-  std::uint64_t misses() const { return misses_.load(); }
-  void reset_stats() {
-    hits_ = 0;
-    misses_ = 0;
-  }
 
  private:
   struct Partition {
@@ -59,8 +65,6 @@ class PageCache {
   std::size_t page_size_;
   std::size_t capacity_pages_;
   std::vector<std::unique_ptr<Partition>> parts_;
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
 };
 
 }  // namespace knor::sem

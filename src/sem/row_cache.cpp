@@ -37,15 +37,10 @@ RowCache::Mode RowCache::begin_iteration(int iter) {
   return refreshing_ ? Mode::kRefresh : Mode::kStatic;
 }
 
-const value_t* RowCache::lookup(int part, index_t r) {
-  Partition& p = *parts_[static_cast<std::size_t>(part)];
+const value_t* RowCache::lookup(int part, index_t r) const {
+  const Partition& p = *parts_[static_cast<std::size_t>(part)];
   const auto it = p.index.find(r);
-  if (it == p.index.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  return p.slab.data() + it->second * d_;
+  return it == p.index.end() ? nullptr : p.slab.data() + it->second * d_;
 }
 
 void RowCache::offer(int part, index_t r, const value_t* row_data) {

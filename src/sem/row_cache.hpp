@@ -19,7 +19,6 @@
 // publish() calls, which happen at single-threaded iteration boundaries.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -49,8 +48,10 @@ class RowCache {
   Mode begin_iteration(int iter);
 
   /// Read-only lookup in the published cache for row r, whose home
-  /// partition is `part`. Returns the row's data or nullptr.
-  const value_t* lookup(int part, index_t r);
+  /// partition is `part`. Returns the row's data or nullptr. Counts
+  /// nothing: callers tally their own hits, so concurrent lookups share no
+  /// written cache line.
+  const value_t* lookup(int part, index_t r) const;
 
   /// During a kRefresh iteration, offer an active row just fetched.
   /// Inserted while the partition has budget.
@@ -59,13 +60,6 @@ class RowCache {
   /// Publish the staged partitions (end of a kRefresh iteration,
   /// single-threaded).
   void publish();
-
-  std::uint64_t hits() const { return hits_.load(); }
-  std::uint64_t misses() const { return misses_.load(); }
-  void reset_stats() {
-    hits_ = 0;
-    misses_ = 0;
-  }
 
   /// Rows currently resident (published side).
   std::size_t resident_rows() const;
@@ -90,8 +84,6 @@ class RowCache {
   int next_refresh_ = 5;
   bool refreshing_ = false;
   std::vector<std::unique_ptr<Partition>> parts_;
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
 };
 
 }  // namespace knor::sem

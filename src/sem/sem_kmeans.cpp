@@ -207,6 +207,9 @@ Result kmeans(const std::string& path, const Options& opts,
   std::uint64_t last_requested = 0;
   std::uint64_t last_read = 0;
   std::uint64_t last_reqs = 0;
+  // Run totals of the workers' per-iteration demand-side tallies.
+  std::uint64_t run_active = 0;
+  std::uint64_t run_rc_hits = 0;
 
   const auto tol_changes =
       static_cast<std::uint64_t>(opts.tolerance * static_cast<double>(n));
@@ -345,7 +348,6 @@ Result kmeans(const std::string& path, const Options& opts,
     refresh_mode = use_rc && row_cache.begin_iteration(it + 1) ==
                                  RowCache::Mode::kRefresh;
     sched.begin_chunks(n, task_size, &parts);
-    const std::uint64_t rc_hits_before = row_cache.hits();
     {
       obs::Span span_assign("assign");
       sched.run(worker);
@@ -374,19 +376,27 @@ Result kmeans(const std::string& path, const Options& opts,
     if (opts.prune) mti.prepare(prev, cur, K);
 
     std::uint64_t changed = 0;
+    std::uint64_t active = 0;
+    std::uint64_t rc_hits = 0;
+    for (const auto& pt : per_thread) {
+      changed += pt.changed;
+      active += pt.active;
+      rc_hits += pt.rc_hits;
+    }
+    run_active += active;
+    run_rc_hits += rc_hits;
     if (stats != nullptr) {
       IterIo io;
       io.bytes_requested = engine.bytes_requested() - last_requested;
       io.bytes_read = file.bytes_read() - last_read;
       io.device_requests = file.read_requests() - last_reqs;
-      io.row_cache_hits = row_cache.hits() - rc_hits_before;
-      for (const auto& pt : per_thread) io.active_rows += pt.active;
+      io.row_cache_hits = rc_hits;
+      io.active_rows = active;
       stats->per_iter.push_back(io);
     }
     last_requested = engine.bytes_requested();
     last_read = file.bytes_read();
     last_reqs = file.read_requests();
-    for (const auto& pt : per_thread) changed += pt.changed;
 
     res.iter_times.record(timer.elapsed());
     ++res.iters;
@@ -461,19 +471,16 @@ Result kmeans(const std::string& path, const Options& opts,
   // shared page first, so page-cache hits/misses, device bytes and request
   // counts are timing-class.
   using obs::Det;
-  std::uint64_t active_rows = 0;
-  for (const auto& pt : per_thread) active_rows += pt.active;
   reg.counter("sem.bytes_requested", Det::kDeterministic)
       .add(engine.bytes_requested());
-  reg.counter("sem.active_rows", Det::kDeterministic).add(active_rows);
-  reg.counter("sem.row_cache_hits", Det::kDeterministic)
-      .add(row_cache.hits());
+  reg.counter("sem.active_rows", Det::kDeterministic).add(run_active);
+  reg.counter("sem.row_cache_hits", Det::kDeterministic).add(run_rc_hits);
   reg.counter("sem.bytes_read", Det::kTiming).add(file.bytes_read());
   reg.counter("sem.device_requests", Det::kTiming)
       .add(file.read_requests());
-  reg.counter("sem.page_cache_hits", Det::kTiming).add(page_cache.hits());
+  reg.counter("sem.page_cache_hits", Det::kTiming).add(engine.page_hits());
   reg.counter("sem.page_cache_misses", Det::kTiming)
-      .add(page_cache.misses());
+      .add(engine.page_misses());
   // Core counter parity (core/run_metrics.hpp): the SEM engine's distance
   // and pruning work must show up under the same core.* names as the
   // in-memory engines, so --metrics agrees with Result::counters here too.

@@ -5,11 +5,15 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <numeric>
+#include <random>
+#include <thread>
 
 #include "core/knori.hpp"
 #include "data/generator.hpp"
@@ -94,16 +98,27 @@ TEST_F(SemTest, PageFileRejectsGarbage) {
   EXPECT_THROW(PageFile(p, 4096), std::runtime_error);
 }
 
-TEST(PageCacheTest, InsertLookupRoundTrip) {
+TEST(PageCacheTest, InsertCopyOutRoundTrip) {
   PageCache cache(64 * 1024, 1024, 2);
-  std::vector<unsigned char> page(1024, 7);
+  std::vector<unsigned char> page(1024);
+  for (std::size_t i = 0; i < page.size(); ++i)
+    page[i] = static_cast<unsigned char>(i * 7);
   cache.insert(42, page.data());
-  std::vector<unsigned char> out(1024);
-  EXPECT_TRUE(cache.lookup(42, out.data()));
-  EXPECT_EQ(out[500], 7);
-  EXPECT_FALSE(cache.lookup(43, out.data()));
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
+  // Two ranges of one page, copied under one probe; bytes outside them
+  // stay untouched.
+  std::vector<unsigned char> out(64, 0xee);
+  const PageCache::Range ranges[] = {{500, 8, out.data()},
+                                     {1000, 24, out.data() + 16}};
+  EXPECT_TRUE(cache.copy_out(42, ranges, 2));
+  for (std::size_t i = 0; i < 8; ++i) EXPECT_EQ(out[i], page[500 + i]);
+  for (std::size_t i = 8; i < 16; ++i) EXPECT_EQ(out[i], 0xee);
+  for (std::size_t i = 0; i < 24; ++i) EXPECT_EQ(out[16 + i], page[1000 + i]);
+  EXPECT_EQ(out[40], 0xee);
+  // A miss copies nothing.
+  std::vector<unsigned char> untouched(8, 0xee);
+  const PageCache::Range miss[] = {{0, 8, untouched.data()}};
+  EXPECT_FALSE(cache.copy_out(43, miss, 1));
+  EXPECT_EQ(untouched, std::vector<unsigned char>(8, 0xee));
 }
 
 TEST(PageCacheTest, EvictsWhenFullButKeepsCapacityPages) {
@@ -141,12 +156,13 @@ TEST(PageCacheTest, ClockSecondChanceEvictionOrder) {
 TEST(PageCacheTest, ClockSparesReferencedPageDuringSweep) {
   PageCache cache(4 * 1024, 1024, 1);  // 4 slots
   std::vector<unsigned char> page(1024);
-  std::vector<unsigned char> out(1024);
+  unsigned char out = 0;
+  const PageCache::Range one_byte[] = {{0, 1, &out}};
   for (std::uint64_t id = 0; id < 4; ++id) cache.insert(id, page.data());
   cache.insert(100, page.data());  // full sweep, evicts slot 0
-  // Page 1 sits in slot 1 with its bit cleared; touching it re-arms the bit
+  // Page 1 sits in slot 1 with its bit cleared; reading it re-arms the bit
   // so the next insertion skips it and evicts page 2 instead.
-  EXPECT_TRUE(cache.lookup(1, out.data()));
+  EXPECT_TRUE(cache.copy_out(1, one_byte, 1));
   cache.insert(101, page.data());
   EXPECT_TRUE(cache.contains(1));
   EXPECT_FALSE(cache.contains(2));
@@ -230,6 +246,142 @@ TEST_F(SemTest, IoEnginePrefetchStagesPages) {
   EXPECT_EQ(file.bytes_read(), staged);  // fetch was served by the cache
   for (std::size_t i = 0; i < rows.size(); ++i)
     EXPECT_EQ(out.at(static_cast<index_t>(i), 0), m.at(rows[i], 0));
+}
+
+// --- fetch path properties ---------------------------------------------------
+
+// (row, page) pieces of `rows`: the unit the page tallies count.
+std::uint64_t row_page_pieces(const PageFile& file,
+                              const std::vector<index_t>& rows) {
+  std::uint64_t pieces = 0;
+  for (const index_t r : rows)
+    pieces += file.last_page_of_row(r) - file.first_page_of_row(r) + 1;
+  return pieces;
+}
+
+// A random row set: a sparse sample, a dense window, a contiguous run (the
+// energy pass's pattern) — all ascending, as the engine passes them — or,
+// rarely, a shuffled sample.
+std::vector<index_t> random_rows(std::mt19937_64& rng, index_t n) {
+  std::vector<index_t> rows;
+  const index_t window = 1 + static_cast<index_t>(rng() % n);
+  const index_t begin = static_cast<index_t>(rng() % (n - window + 1));
+  const std::uint64_t mode = rng() % 8;
+  if (mode < 3 || mode == 7) {  // sparse: at most 64 rows anywhere
+    for (std::uint64_t i = 1 + rng() % 64; i > 0; --i)
+      rows.push_back(static_cast<index_t>(rng() % n));
+    std::sort(rows.begin(), rows.end());
+    rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+    if (mode == 7) std::shuffle(rows.begin(), rows.end(), rng);
+  } else if (mode < 6) {  // dense: about half of a window
+    for (index_t r = begin; r < begin + window; ++r)
+      if (rng() % 2 == 0) rows.push_back(r);
+    if (rows.empty()) rows.push_back(begin);
+  } else {  // contiguous
+    for (index_t r = begin; r < begin + window; ++r) rows.push_back(r);
+  }
+  return rows;
+}
+
+using FetchParam = std::tuple<index_t /*d*/, std::size_t /*slots/partition*/,
+                              bool /*concurrent prefetch*/>;
+
+class FetchPath : public SemTest,
+                  public ::testing::WithParamInterface<FetchParam> {};
+
+// fetch_rows must return exactly the .kmat's rows for any row set: rows
+// far smaller than a page (d=1: a dense page holds more separate ranges
+// than one probe gathers), rows straddling pages (d=7: 56-byte rows), rows
+// wider than a page (d=600: 4800 bytes); a cache of one slot per partition
+// (copies race eviction and take the re-read fallback) up to a roomy one;
+// and an I/O thread staging overlapping sets while two workers fetch.
+TEST_P(FetchPath, MatchesReadMatrix) {
+  const auto [d, slots, concurrent] = GetParam();
+  constexpr std::size_t kPage = 4096;
+  constexpr int kPartitions = 2;
+  data::GeneratorSpec spec;
+  spec.d = d;
+  spec.n = d == 600 ? 200 : 3000;
+  spec.seed = 11;
+  const std::string path = make_matrix(spec);
+  const DenseMatrix ref = data::read_matrix(path);
+  const std::size_t row_bytes = d * sizeof(value_t);
+
+  PageFile file(path, kPage);
+  PageCache cache(slots * kPartitions * kPage, kPage, kPartitions);
+  IoEngine engine(file, cache, 1);
+
+  const int fetchers = concurrent ? 2 : 1;
+  std::vector<std::size_t> bad(static_cast<std::size_t>(fetchers), 0);
+  const auto run = [&](int id) {
+    std::mt19937_64 rng(1000 + static_cast<std::uint64_t>(id));
+    for (int round = 0; round < 150; ++round) {
+      const std::vector<index_t> rows = random_rows(rng, spec.n);
+      IoEngine::Ticket ticket;
+      if (concurrent) {
+        // Overlapping set: the same rows shifted by a few.
+        std::vector<index_t> other;
+        const index_t shift = static_cast<index_t>(rng() % 8);
+        for (const index_t r : rows)
+          if (r + shift < spec.n) other.push_back(r + shift);
+        ticket = engine.prefetch(std::move(other));
+      }
+      DenseMatrix out(static_cast<index_t>(rows.size()), d);
+      engine.fetch_rows(rows, out.data());
+      ticket.wait();
+      for (std::size_t i = 0; i < rows.size(); ++i)
+        if (std::memcmp(out.row(static_cast<index_t>(i)), ref.row(rows[i]),
+                        row_bytes) != 0)
+          ++bad[static_cast<std::size_t>(id)];
+    }
+  };
+  std::vector<std::thread> threads;
+  for (int id = 1; id < fetchers; ++id) threads.emplace_back(run, id);
+  run(0);
+  for (auto& t : threads) t.join();
+
+  for (int id = 0; id < fetchers; ++id)
+    EXPECT_EQ(bad[static_cast<std::size_t>(id)], 0u) << "fetcher " << id;
+  if (slots == 1) {
+    EXPECT_GT(engine.page_misses(), 0u);  // the fallback ran
+  }
+  if (slots >= 1024 && !concurrent) {
+    EXPECT_EQ(engine.page_misses(), 0u);  // nothing is ever evicted
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometry, FetchPath,
+    ::testing::Combine(::testing::Values(1, 7, 600),
+                       ::testing::Values(1, 8, 1024),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      return "d" + std::to_string(std::get<0>(info.param)) + "_slots" +
+             std::to_string(std::get<1>(info.param)) +
+             (std::get<2>(info.param) ? "_prefetch" : "_alone");
+    });
+
+// The page tallies count (row, page) pieces, not probes: a fetch whose
+// pages are all resident adds one per piece, however many rows share a page.
+TEST_F(SemTest, IoEnginePageTalliesCountRowPagePieces) {
+  for (const index_t d : {index_t{7}, index_t{600}}) {
+    data::GeneratorSpec spec;
+    spec.d = d;
+    spec.n = 400;
+    const std::string path =
+        make_matrix(spec, "t" + std::to_string(d) + ".kmat");
+    PageFile file(path, 4096);
+    PageCache cache(4 << 20, 4096, 2);
+    IoEngine engine(file, cache, 1);
+    std::vector<index_t> rows;
+    for (index_t r = 0; r < spec.n; r += 1 + r % 3) rows.push_back(r);
+    engine.prefetch(rows).wait();
+    const std::uint64_t hits0 = engine.page_hits();
+    DenseMatrix out(static_cast<index_t>(rows.size()), d);
+    engine.fetch_rows(rows, out.data());
+    EXPECT_EQ(engine.page_hits() - hits0, row_page_pieces(file, rows)) << d;
+    EXPECT_EQ(engine.page_misses(), 0u) << d;
+  }
 }
 
 TEST(RowCacheTest, LazyRefreshSchedule) {
@@ -407,6 +559,42 @@ TEST_F(SemTest, RowCacheReducesBytesRead) {
   std::uint64_t hits = 0;
   for (const auto& iter : rc_stats.per_iter) hits += iter.row_cache_hits;
   EXPECT_GT(hits, 0u);
+}
+
+// The registry's run totals are the sums of the per-iteration series (the
+// workers reset their tallies every iteration, so a total taken after the
+// loop would hold only the last one).
+TEST_F(SemTest, RunCountersSumThePerIterationSeries) {
+  data::GeneratorSpec spec;
+  spec.n = 8000;
+  spec.d = 16;
+  spec.true_clusters = 6;
+  const std::string path = make_matrix(spec);
+  Options opts;
+  opts.k = 6;
+  opts.threads = 2;
+  opts.max_iters = 40;
+  opts.prune = true;
+  SemOptions sopts;
+  sopts.page_cache_bytes = 32 << 10;
+  sopts.row_cache_bytes = 1 << 20;
+  SemStats stats;
+  const Result res = kmeans(path, opts, sopts, &stats);
+
+  std::uint64_t active = 0;
+  std::uint64_t hits = 0;
+  for (const auto& iter : stats.per_iter) {
+    active += iter.active_rows;
+    hits += iter.row_cache_hits;
+  }
+  ASSERT_GT(stats.per_iter.size(), 5u);
+  ASSERT_GT(hits, 0u);
+  ASSERT_GT(stats.per_iter.front().active_rows,
+            stats.per_iter.back().active_rows);
+  EXPECT_EQ(res.metrics.value_or("sem.active_rows", -1),
+            static_cast<std::int64_t>(active));
+  EXPECT_EQ(res.metrics.value_or("sem.row_cache_hits", -1),
+            static_cast<std::int64_t>(hits));
 }
 
 TEST_F(SemTest, ActiveRowsShrinkOverIterations) {
