@@ -55,6 +55,10 @@ struct alignas(kCacheLine) PerThread {
   Counters counters;
   std::uint64_t changed = 0;
   double busy_s = 0.0;  ///< CPU time in super-phases, whole run
+  // MTI work buffers, k entries each when pruning: a row's clause-2
+  // survivors and their squared distances from one dist_sq_list call.
+  std::vector<cluster_t> cand;
+  std::vector<value_t> cand_sq;
 };
 
 /// Walk task's rows in segments that stay inside one thread block, so the
@@ -112,7 +116,7 @@ Result run_parallel_lloyd(const Data& data, index_t n, index_t d,
   const int k = opts.k;
   // One ISA for the whole run, resolved from opts rather than the
   // process-global dispatch (concurrent runs with different --simd must not
-  // retarget each other): every distance below (pruned per-centroid,
+  // retarget each other): every distance below (pruned candidate list,
   // blocked full scan, energy pass) goes through the same kernel table, so
   // the blocked/per-centroid bitwise-equality contract of kernels/simd.hpp
   // keeps pruned and unpruned paths in exact agreement.
@@ -198,6 +202,11 @@ Result run_parallel_lloyd(const Data& data, index_t n, index_t d,
   }
 
   std::vector<PerThread> per_thread(static_cast<std::size_t>(T));
+  if (prune)
+    for (auto& pt : per_thread) {
+      pt.cand.resize(static_cast<std::size_t>(k));
+      pt.cand_sq.resize(static_cast<std::size_t>(k));
+    }
 
   ScopedAlloc mem_chunks("per-chunk-centroids",
                          prune ? deltas.bytes() : locals.bytes());
@@ -209,7 +218,8 @@ Result run_parallel_lloyd(const Data& data, index_t n, index_t d,
   // for_task_rows. `chunk` selects the deterministic accumulator slot.
   auto process_point = [&](index_t r, const value_t* v, int tid,
                            std::uint32_t chunk) {
-    Counters& cnt = per_thread[static_cast<std::size_t>(tid)].counters;
+    PerThread& pt = per_thread[static_cast<std::size_t>(tid)];
+    Counters& cnt = pt.counters;
     const cluster_t a = res.assignments[r];
     if (prune && a != kInvalidCluster) {
       const value_t loosened = mti.ub(r) + mti.drift(a);
@@ -221,36 +231,49 @@ Result run_parallel_lloyd(const Data& data, index_t n, index_t d,
         ++cnt.clause1_skips;
         return;
       }
-      // Clause 3 prelude: tighten the bound with one distance computation.
-      value_t best_d = std::sqrt(K.dist_sq(v, cur.row(a), d));
-      value_t best_d_sq = best_d * best_d;
-      ++cnt.dist_computations;
-      cluster_t best = a;
+      // Gather (DESIGN.md §3): clause 2 reads only the loosened bound and
+      // c2c(a, ·), never a distance, so it filters the candidates before
+      // any is evaluated: `a` first, then the survivors in ascending order.
+      cluster_t* cand = pt.cand.data();
+      value_t* cand_sq = pt.cand_sq.data();
+      int m = 0;
+      cand[m++] = a;
       for (int c = 0; c < k; ++c) {
         if (static_cast<cluster_t>(c) == a) continue;
-        // Clause 2: loosened bound vs. the assigned centroid's separation.
         if (loosened <= value_t(0.5) * mti.c2c(a, static_cast<cluster_t>(c))) {
           ++cnt.clause2_skips;
           continue;
         }
+        cand[m++] = static_cast<cluster_t>(c);
+      }
+      // Evaluate: one blocked kernel call for the whole list, bitwise
+      // equal to one dist_sq per candidate (kernels/simd.hpp contract).
+      K.dist_sq_list(v, pack, cand, m, cand_sq);
+      // Replay the sequential scan over the buffer. Clause 3 prelude: the
+      // tightened bound is the first distance.
+      value_t best_d = std::sqrt(cand_sq[0]);
+      value_t best_d_sq = best_d * best_d;
+      ++cnt.dist_computations;
+      cluster_t best = a;
+      for (int i = 1; i < m; ++i) {
+        const cluster_t c = cand[i];
         // Clause 3: tightened bound vs. the current best's separation.
-        if (best_d <= value_t(0.5) * mti.c2c(best, static_cast<cluster_t>(c))) {
+        if (best_d <= value_t(0.5) * mti.c2c(best, c)) {
           ++cnt.clause3_skips;
           continue;
         }
         // Compare in squared form; sqrt only when the best improves (the
         // triangle-inequality bookkeeping needs true distances, but the
         // argmin does not).
-        const value_t dsq = K.dist_sq(v, cur.row(static_cast<index_t>(c)), d);
         ++cnt.dist_computations;
-        if (dsq < best_d_sq) {
-          best_d_sq = dsq;
-          best_d = std::sqrt(dsq);
-          best = static_cast<cluster_t>(c);
+        if (cand_sq[i] < best_d_sq) {
+          best_d_sq = cand_sq[i];
+          best_d = std::sqrt(cand_sq[i]);
+          best = c;
         }
       }
       if (best != a) {
-        ++per_thread[static_cast<std::size_t>(tid)].changed;
+        ++pt.changed;
         auto& delta = deltas.touch(chunk);
         delta.sub(a, v);
         delta.add(best, v);
@@ -265,7 +288,7 @@ Result run_parallel_lloyd(const Data& data, index_t n, index_t d,
     value_t best_sq = 0;
     const cluster_t best = K.nearest_blocked(v, pack, &best_sq);
     cnt.dist_computations += static_cast<std::uint64_t>(k);
-    if (best != a) ++per_thread[static_cast<std::size_t>(tid)].changed;
+    if (best != a) ++pt.changed;
     res.assignments[r] = best;
     if (prune) {
       // MTI bookkeeping is in true distances: the one sqrt of the scan.

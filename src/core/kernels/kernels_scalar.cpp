@@ -43,6 +43,15 @@ cluster_t scalar_nearest_blocked(const value_t* point,
   return best;
 }
 
+// The same d leading values and the same loop as scalar_nearest_blocked,
+// so out[i] is bitwise knor::dist_sq on row idx[i].
+void scalar_dist_sq_list(const value_t* point, const CentroidPack& pack,
+                         const cluster_t* idx, int m, value_t* out) {
+  const index_t d = pack.d();
+  for (int i = 0; i < m; ++i)
+    out[i] = knor::dist_sq(point, pack.row(static_cast<int>(idx[i])), d);
+}
+
 // Fused-scalar GEMM-argmin reference (DESIGN.md §12): per (row, centroid)
 // the dot product accumulates strictly sequentially over the depth —
 // ascending col-panels, ascending columns — which is the exact reduction
@@ -95,6 +104,7 @@ Ops scalar_ops() {
   ops.dot = &scalar_dot;
   ops.nearest = &scalar_nearest;
   ops.nearest_blocked = &scalar_nearest_blocked;
+  ops.dist_sq_list = &scalar_dist_sq_list;
   ops.gemm_argmin = &scalar_gemm_argmin;
   return ops;
 }

@@ -15,9 +15,11 @@
 //  * For every ISA, the blocked nearest-centroid kernel interleaves the
 //    exact per-centroid accumulator/reduction sequence of that ISA's
 //    dist_sq, so blocked and per-centroid distance values are bitwise
-//    IDENTICAL. This is what keeps the MTI-pruned path (per-centroid
-//    dist_sq) in exact agreement with the full-scan path (blocked) —
-//    pruned vs. unpruned runs stay bitwise-equal under any ISA.
+//    IDENTICAL. The candidate-list kernel dist_sq_list runs the same tile
+//    schedule over the rows a list names. This is what keeps the MTI-
+//    pruned path (dist_sq_list over a row's candidates) in exact agreement
+//    with the full-scan path (nearest_blocked) — pruned vs. unpruned runs
+//    stay bitwise-equal under any ISA.
 //  * Isa::kScalar is the legacy reference in core/distance.hpp, bit-for-
 //    bit: `--simd scalar` reproduces the pre-SIMD clusterings of every
 //    Lloyd-family engine exactly. (Two call sites were normalized in the
@@ -128,6 +130,12 @@ struct Ops {
   /// independent dist_sq calls (see the header comment).
   cluster_t (*nearest_blocked)(const value_t* point, const CentroidPack& pack,
                                value_t* out_sq) = nullptr;
+  /// Squared distances from `point` to the m pack rows listed in `idx`
+  /// (any order, repeats allowed; m == 0 writes nothing): out[i] is
+  /// bitwise equal to dist_sq(point, row idx[i], d). Blocked like
+  /// nearest_blocked, so one call evaluates a whole candidate list.
+  void (*dist_sq_list)(const value_t* point, const CentroidPack& pack,
+                       const cluster_t* idx, int m, value_t* out) = nullptr;
   /// Fused blocked-GEMM argmin epilogue (DESIGN.md §12): streams `mrows`
   /// row-major data rows (leading dimension lda) against centroid panels
   /// [p0, p1) of `b` — a TiledMatrix packed from the k x d centroid matrix

@@ -10,20 +10,23 @@
 //    horizontal reduction hsum(acc0 + acc1). No data-dependent control
 //    flow, so results are bitwise stable run to run.
 //
-//  * nearest_blocked_t runs the SAME per-centroid schedule for a tile of
-//    kTile centroids at once, sharing each point chunk across the tile.
-//    Per centroid it issues the identical FP operation sequence into its
-//    own acc0/acc1 pair, so every blocked distance is bitwise EQUAL to
-//    dist_sq_t on that centroid row. The tile only buys locality and ILP:
-//    the point chunk is loaded once per tile instead of once per centroid,
-//    and kTile independent FMA chains keep the pipeline full.
+//  * tile_dist_sq_t runs the SAME per-centroid schedule for a tile of
+//    kTile centroid rows at once, sharing each point chunk across the
+//    tile. Per row it issues the identical FP operation sequence into its
+//    own acc0/acc1 pair, so every tile distance is bitwise EQUAL to
+//    dist_sq_t on that row. The tile only buys locality and ILP: the
+//    point chunk is loaded once per tile instead of once per row, and
+//    kTile independent FMA chains keep the pipeline full. Both blocked
+//    kernels are written over it: nearest_blocked_t tiles the pack's rows
+//    in order, dist_sq_list_t tiles the rows a candidate list names, and
+//    each finishes a short remainder with dist_sq_t on the padded rows.
 //
 //  * The masked partial chunk masks the POINT load; the centroid side is a
 //    full-width aligned load whose padding lanes the CentroidPack
 //    guarantees to be +0.0. Masked-off point lanes are +0.0 too, so the
 //    lane difference is exactly +0.0 and fma(0, 0, acc) == acc bitwise —
 //    the partial chunk contributes only its live lanes, identically in
-//    dist_sq_t (both operands masked) and nearest_blocked_t (point masked,
+//    dist_sq_t (both operands masked) and tile_dist_sq_t (point masked,
 //    centroid padded).
 //
 // Traits interface:
@@ -120,6 +123,46 @@ cluster_t nearest_t(const value_t* point, const value_t* centroids, int k,
   return best;
 }
 
+/// Squared distances from `point` to the kTile padded pack rows `rows`,
+/// each bitwise equal to dist_sq_t on that row (see the header comment).
+/// Forced inline: as a call, the accumulators and the result go through
+/// memory once per tile, which costs the blocked kernels their speed.
+template <class V>
+[[gnu::always_inline]] inline void tile_dist_sq_t(const value_t* point,
+                                                  const value_t* const* rows,
+                                                  index_t d, value_t* out) {
+  typename V::vec acc0[kTile], acc1[kTile];
+  for (int t = 0; t < kTile; ++t) {
+    acc0[t] = V::zero();
+    acc1[t] = V::zero();
+  }
+  index_t j = 0;
+  for (; j + 2 * V::kW <= d; j += 2 * V::kW) {
+    const typename V::vec p0 = V::loadu(point + j);
+    const typename V::vec p1 = V::loadu(point + j + V::kW);
+    for (int t = 0; t < kTile; ++t) {
+      acc0[t] = V::diff_fma(p0, V::load(rows[t] + j), acc0[t]);
+      acc1[t] = V::diff_fma(p1, V::load(rows[t] + j + V::kW), acc1[t]);
+    }
+  }
+  if (j + V::kW <= d) {
+    const typename V::vec p0 = V::loadu(point + j);
+    for (int t = 0; t < kTile; ++t)
+      acc0[t] = V::diff_fma(p0, V::load(rows[t] + j), acc0[t]);
+    j += V::kW;
+  }
+  if (j < d) {
+    // Point masked, centroid full-width: the pack's zero padding makes
+    // the dead lanes contribute exactly nothing (see header comment).
+    const typename V::vec pp = V::load_partial(point + j, d - j);
+    for (int t = 0; t < kTile; ++t)
+      acc1[t] = V::diff_fma(pp, V::load(rows[t] + j), acc1[t]);
+  }
+  typename V::vec sums[kTile];
+  for (int t = 0; t < kTile; ++t) sums[t] = V::add(acc0[t], acc1[t]);
+  V::reduce_tile(sums, out);  // out[t] bitwise == hsum(sums[t])
+}
+
 template <class V>
 cluster_t nearest_blocked_t(const value_t* point, const CentroidPack& pack,
                             value_t* out_sq) {
@@ -130,38 +173,9 @@ cluster_t nearest_blocked_t(const value_t* point, const CentroidPack& pack,
   int c = 0;
   for (; c + kTile <= k; c += kTile) {
     const value_t* rows[kTile];
-    typename V::vec acc0[kTile], acc1[kTile];
-    for (int t = 0; t < kTile; ++t) {
-      rows[t] = pack.row(c + t);
-      acc0[t] = V::zero();
-      acc1[t] = V::zero();
-    }
-    index_t j = 0;
-    for (; j + 2 * V::kW <= d; j += 2 * V::kW) {
-      const typename V::vec p0 = V::loadu(point + j);
-      const typename V::vec p1 = V::loadu(point + j + V::kW);
-      for (int t = 0; t < kTile; ++t) {
-        acc0[t] = V::diff_fma(p0, V::load(rows[t] + j), acc0[t]);
-        acc1[t] = V::diff_fma(p1, V::load(rows[t] + j + V::kW), acc1[t]);
-      }
-    }
-    if (j + V::kW <= d) {
-      const typename V::vec p0 = V::loadu(point + j);
-      for (int t = 0; t < kTile; ++t)
-        acc0[t] = V::diff_fma(p0, V::load(rows[t] + j), acc0[t]);
-      j += V::kW;
-    }
-    if (j < d) {
-      // Point masked, centroid full-width: the pack's zero padding makes
-      // the dead lanes contribute exactly nothing (see header comment).
-      const typename V::vec pp = V::load_partial(point + j, d - j);
-      for (int t = 0; t < kTile; ++t)
-        acc1[t] = V::diff_fma(pp, V::load(rows[t] + j), acc1[t]);
-    }
-    typename V::vec sums[kTile];
-    for (int t = 0; t < kTile; ++t) sums[t] = V::add(acc0[t], acc1[t]);
+    for (int t = 0; t < kTile; ++t) rows[t] = pack.row(c + t);
     value_t dist[kTile];
-    V::reduce_tile(sums, dist);  // dist[t] bitwise == hsum(sums[t])
+    tile_dist_sq_t<V>(point, rows, d, dist);
     for (int t = 0; t < kTile; ++t) {
       if (dist[t] < best_sq) {
         best_sq = dist[t];
@@ -180,6 +194,23 @@ cluster_t nearest_blocked_t(const value_t* point, const CentroidPack& pack,
   }
   if (out_sq != nullptr) *out_sq = best_sq;
   return best;
+}
+
+/// nearest_blocked_t's tile schedule over the m pack rows `idx` names, in
+/// list order: out[i] is bitwise dist_sq_t(point, row idx[i]).
+template <class V>
+void dist_sq_list_t(const value_t* point, const CentroidPack& pack,
+                    const cluster_t* idx, int m, value_t* out) {
+  const index_t d = pack.d();
+  int i = 0;
+  for (; i + kTile <= m; i += kTile) {
+    const value_t* rows[kTile];
+    for (int t = 0; t < kTile; ++t)
+      rows[t] = pack.row(static_cast<int>(idx[i + t]));
+    tile_dist_sq_t<V>(point, rows, d, out + i);
+  }
+  for (; i < m; ++i)
+    out[i] = dist_sq_t<V>(point, pack.row(static_cast<int>(idx[i])), d);
 }
 
 /// Data rows per register block of the fused GEMM kernel: 4 rows x
@@ -262,6 +293,7 @@ Ops make_ops(Isa isa) {
   ops.dot = &dot_t<V>;
   ops.nearest = &nearest_t<V>;
   ops.nearest_blocked = &nearest_blocked_t<V>;
+  ops.dist_sq_list = &dist_sq_list_t<V>;
   ops.gemm_argmin = &gemm_argmin_t<V>;
   return ops;
 }

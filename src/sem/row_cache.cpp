@@ -1,5 +1,6 @@
 #include "sem/row_cache.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 namespace knor::sem {
@@ -14,6 +15,7 @@ RowCache::RowCache(std::size_t capacity_bytes, index_t d, int partitions)
   parts_.reserve(static_cast<std::size_t>(partitions));
   for (int p = 0; p < partitions; ++p) {
     auto part = std::make_unique<Partition>();
+    part->staging_ids = numa::NodeBuffer<index_t>(rows_per_part_, /*node=*/-1);
     part->staging_slab = AlignedBuffer<value_t>(rows_per_part_ * d_);
     part->slab = AlignedBuffer<value_t>(rows_per_part_ * d_);
     part->staging_index.reserve(rows_per_part_ * 2);
@@ -47,10 +49,26 @@ void RowCache::offer(int part, index_t r, const value_t* row_data) {
   if (!refreshing_) return;
   Partition& p = *parts_[static_cast<std::size_t>(part)];
   std::lock_guard<std::mutex> lock(p.staging_mu);
-  if (p.staging_index.size() >= rows_per_part_) return;  // budget exhausted
-  const auto [it, inserted] = p.staging_index.try_emplace(
-      r, p.staging_index.size());
-  if (!inserted) return;
+  index_t* heap = p.staging_ids.data();
+  const std::size_t staged = p.staging_index.size();
+  const bool full = staged >= rows_per_part_;
+  // A full partition keeps only ids below its largest staged one; every
+  // staged id is <= the top, so this also rejects nothing already staged.
+  if (full && r > heap[0]) return;
+  const auto [it, inserted] = p.staging_index.try_emplace(r, staged);
+  if (!inserted) return;  // offered twice
+  if (full) {
+    // r takes the largest staged id's slot and heap position.
+    std::pop_heap(heap, heap + staged);
+    const auto evicted = p.staging_index.find(heap[staged - 1]);
+    it->second = evicted->second;
+    p.staging_index.erase(evicted);
+    heap[staged - 1] = r;
+    std::push_heap(heap, heap + staged);
+  } else {
+    heap[staged] = r;
+    std::push_heap(heap, heap + staged + 1);
+  }
   std::memcpy(p.staging_slab.data() + it->second * d_, row_data,
               static_cast<std::size_t>(d_) * sizeof(value_t));
 }

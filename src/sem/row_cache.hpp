@@ -17,6 +17,12 @@
 // per-partition mutex covers the stealing case. Published-side lookups are
 // read-only and unlocked: the published structures are immutable between
 // publish() calls, which happen at single-threaded iteration boundaries.
+//
+// Admission is by row id, not by arrival: a refresh stages the
+// capacity_rows() / partitions smallest ids offered to each partition. The
+// staged set is then a pure function of the iteration's active rows, so
+// which worker offers a row first (a steal-order race) cannot change what
+// is cached, and the deterministic hit and byte counters repeat exactly.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +33,7 @@
 
 #include "common/aligned_buffer.hpp"
 #include "common/types.hpp"
+#include "numa/numa_alloc.hpp"
 
 namespace knor::sem {
 
@@ -53,8 +60,9 @@ class RowCache {
   /// written cache line.
   const value_t* lookup(int part, index_t r) const;
 
-  /// During a kRefresh iteration, offer an active row just fetched.
-  /// Inserted while the partition has budget.
+  /// During a kRefresh iteration, offer an active row just fetched. Kept
+  /// while it is among the partition's smallest offered ids that fit the
+  /// budget; a larger staged row is evicted to make room.
   void offer(int part, index_t r, const value_t* row_data);
 
   /// Publish the staged partitions (end of a kRefresh iteration,
@@ -64,14 +72,25 @@ class RowCache {
   /// Rows currently resident (published side).
   std::size_t resident_rows() const;
   std::size_t capacity_rows() const { return rows_per_part_ * parts_.size(); }
+  /// Bytes knors accounts for the cache: one row slab plus the staging id
+  /// heaps, both allocated at construction.
+  std::size_t bytes() const {
+    return capacity_rows() * (static_cast<std::size_t>(d_) * sizeof(value_t) +
+                              sizeof(index_t));
+  }
   int update_interval() const { return update_interval_; }
   void set_update_interval(int interval);
 
  private:
   struct Partition {
     std::mutex staging_mu;
-    // Staging side (written during refresh iterations).
+    // Staging side (written during refresh iterations). The first
+    // staging_index.size() entries of staging_ids are the staged ids as a
+    // max-heap, so the largest is the one evicted. The ids are mmap-backed:
+    // a malloc'd block here shifts which later large allocations of the
+    // constructing thread glibc serves from its heap (DESIGN.md §4).
     std::unordered_map<index_t, std::size_t> staging_index;
+    numa::NodeBuffer<index_t> staging_ids;
     AlignedBuffer<value_t> staging_slab;
     // Published side (read-only between publish() calls).
     std::unordered_map<index_t, std::size_t> index;

@@ -126,9 +126,7 @@ Result kmeans(const std::string& path, const Options& opts,
 
   ScopedAlloc mem_pc("sem-page-cache",
                      page_cache.capacity_pages() * sem_opts.page_size);
-  ScopedAlloc mem_rc("sem-row-cache",
-                     use_rc ? row_cache.capacity_rows() * d * sizeof(value_t)
-                            : 0);
+  ScopedAlloc mem_rc("sem-row-cache", use_rc ? row_cache.bytes() : 0);
 
   Result res;
   res.assignments.assign(static_cast<std::size_t>(n), kInvalidCluster);

@@ -5,17 +5,21 @@
 // exact engine must be monotone non-increasing along the iteration
 // sequence. Pruning bugs (a bound that under-estimates, a drift applied in
 // the wrong direction, a stale c2c entry) show up here as a flipped
-// assignment on some seed long before they corrupt a benchmark.
+// assignment on some seed long before they corrupt a benchmark. MTI's
+// clause and distance counters are pinned on two fixed inputs, so a path
+// that keeps the clustering but miscounts fails too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "common/prng.hpp"
 #include "core/engines.hpp"
 #include "core/knori.hpp"
 #include "data/generator.hpp"
+#include "dist/knord.hpp"
 
 namespace knor {
 namespace {
@@ -80,6 +84,89 @@ TEST(PruningProperty, MtiAndElkanMatchSerialOn50Seeds) {
       }
     }
   }
+}
+
+/// 64-bit FNV-1a over the assignment vector's bytes.
+std::uint64_t assignment_hash(const std::vector<cluster_t>& assignments) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const cluster_t a : assignments)
+    for (int b = 0; b < 4; ++b) {
+      h ^= (a >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  return h;
+}
+
+/// What MTI did on one run: its iterations, per-clause skips, the
+/// distances its logic consulted, and the clustering it reached.
+struct MtiPin {
+  std::size_t iters;
+  std::uint64_t clause1, clause2, clause3, dist;
+  std::uint64_t assign_hash;
+};
+
+void expect_pin(const Result& res, const MtiPin& want, const char* what) {
+  EXPECT_EQ(res.iters, want.iters) << what;
+  EXPECT_EQ(res.counters.clause1_skips, want.clause1) << what;
+  EXPECT_EQ(res.counters.clause2_skips, want.clause2) << what;
+  EXPECT_EQ(res.counters.clause3_skips, want.clause3) << what;
+  EXPECT_EQ(res.counters.dist_computations, want.dist) << what;
+  EXPECT_EQ(assignment_hash(res.assignments), want.assign_hash) << what;
+}
+
+/// MTI's counters on fixed inputs under the scalar ISA, so the values hold
+/// on any host. They were recorded with one dist_sq call per candidate;
+/// evaluating a row's candidates in one kernel call must reproduce them.
+/// `dist_computations` counts the distances MTI's logic consults, not the
+/// ones a kernel evaluates. knori at T=1 and T=3 and knord over 3 ranks
+/// must agree, since every counter is a sum of per-row decisions.
+void check_mti_pins(const data::GeneratorSpec& spec, Options opts,
+                    const MtiPin& want) {
+  const DenseMatrix m = data::generate(spec);
+  opts.prune = true;
+  opts.simd = kernels::Isa::kScalar;
+  opts.numa_nodes = 2;
+  opts.threads = 1;
+  expect_pin(kmeans(m.const_view(), opts), want, "knori T=1");
+  opts.threads = 3;
+  expect_pin(kmeans(m.const_view(), opts), want, "knori T=3");
+  dist::DistOptions dopts;
+  dopts.ranks = 3;
+  dopts.threads_per_rank = 1;
+  expect_pin(dist::kmeans(m.const_view(), opts, dopts), want, "knord 3 ranks");
+}
+
+// Well-separated clusters: every clause fires, clause 3 included.
+TEST(PruningProperty, MtiCountersPinnedOnNaturalClusters) {
+  data::GeneratorSpec spec;
+  spec.dist = data::Distribution::kNaturalClusters;
+  spec.n = 6000;
+  spec.d = 8;
+  spec.true_clusters = 8;
+  spec.seed = 4242;
+  Options opts;
+  opts.k = 8;
+  opts.max_iters = 30;
+  opts.seed = 17;
+  check_mti_pins(spec, opts,
+                 MtiPin{30, 73800, 551256, 16419, 281925,
+                        17589008640000058004ull});
+}
+
+// Uniform rows, k=64: MTI's worst case, where clauses 2 and 3 barely fire
+// and nearly every row evaluates all k candidates.
+TEST(PruningProperty, MtiCountersPinnedOnUniformK64) {
+  data::GeneratorSpec spec;
+  spec.dist = data::Distribution::kUniformRandom;
+  spec.n = 4000;
+  spec.d = 16;
+  spec.seed = 977;
+  Options opts;
+  opts.k = 64;
+  opts.max_iters = 10;
+  opts.seed = 5;
+  check_mti_pins(spec, opts,
+                 MtiPin{10, 0, 5119, 3827, 2551054, 20740262005782621ull});
 }
 
 /// Energy after 1..steps Lloyd iterations: re-runs with growing max_iters

@@ -447,6 +447,41 @@ TEST(RowCacheTest, BudgetCapsResidency) {
   EXPECT_EQ(rc.resident_rows(), 4u);
 }
 
+// Admission keeps the partition's smallest offered ids, so the resident
+// rows and their bytes do not depend on the order the offers arrive in.
+TEST(RowCacheTest, AdmissionIndependentOfOfferOrder) {
+  constexpr index_t kD = 8;
+  std::vector<index_t> ascending(100);
+  std::iota(ascending.begin(), ascending.end(), index_t(0));
+  std::vector<index_t> descending(ascending.rbegin(), ascending.rend());
+  std::vector<index_t> shuffled = ascending;
+  std::mt19937_64 rng(7);
+  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+  for (const auto* order : {&ascending, &descending, &shuffled}) {
+    RowCache rc(4 * kD * sizeof(value_t), kD, 1);  // 4 rows
+    rc.set_update_interval(1);
+    rc.begin_iteration(1);
+    for (const index_t r : *order) {
+      value_t row[kD];
+      for (index_t j = 0; j < kD; ++j)
+        row[j] = static_cast<value_t>(r * 100 + j);
+      rc.offer(0, r, row);
+    }
+    rc.publish();
+    EXPECT_EQ(rc.resident_rows(), 4u);
+    for (index_t r = 0; r < 100; ++r) {
+      const value_t* got = rc.lookup(0, r);
+      if (r >= 4) {
+        EXPECT_EQ(got, nullptr) << r;
+        continue;
+      }
+      ASSERT_NE(got, nullptr) << r;
+      for (index_t j = 0; j < kD; ++j)
+        EXPECT_EQ(got[j], static_cast<value_t>(r * 100 + j)) << r;
+    }
+  }
+}
+
 // --- knors end-to-end -------------------------------------------------------
 
 class KnorsConfig
@@ -595,6 +630,54 @@ TEST_F(SemTest, RunCountersSumThePerIterationSeries) {
             static_cast<std::int64_t>(active));
   EXPECT_EQ(res.metrics.value_or("sem.row_cache_hits", -1),
             static_cast<std::int64_t>(hits));
+}
+
+// Row-cache hits are declared deterministic: with three workers stealing
+// chunks, a cache smaller than the active set and a refresh at iterations
+// 1, 2, 4 and 8, which worker offers a row first varies between runs, and
+// the hits must not.
+TEST_F(SemTest, RowCacheHitsRepeatAcrossRunsAtThreeThreads) {
+  data::GeneratorSpec spec;
+  spec.n = 24000;
+  spec.d = 8;
+  spec.true_clusters = 8;
+  const std::string path = make_matrix(spec);
+  Options opts;
+  opts.k = 8;
+  opts.threads = 3;
+  opts.max_iters = 12;
+  opts.prune = true;
+  opts.task_size = 256;
+  SemOptions sopts;
+  sopts.page_cache_bytes = 64 << 10;
+  sopts.row_cache_bytes = 48 << 10;  // 768 rows, fewer than are active
+  sopts.cache_update_interval = 1;
+
+  std::vector<std::uint64_t> first_hits;
+  std::int64_t first_total = -1;
+  std::int64_t first_requested = -1;
+  for (int run = 0; run < 5; ++run) {
+    SemStats stats;
+    const Result res = kmeans(path, opts, sopts, &stats);
+    std::vector<std::uint64_t> hits;
+    for (const auto& iter : stats.per_iter) {
+      hits.push_back(iter.row_cache_hits);
+      EXPECT_GT(iter.active_rows, 768u) << "run " << run;
+    }
+    const std::int64_t total = res.metrics.value_or("sem.row_cache_hits", -1);
+    const std::int64_t requested =
+        res.metrics.value_or("sem.bytes_requested", -1);
+    if (run == 0) {
+      ASSERT_GT(total, 0);
+      first_hits = hits;
+      first_total = total;
+      first_requested = requested;
+      continue;
+    }
+    EXPECT_EQ(hits, first_hits) << "run " << run;
+    EXPECT_EQ(total, first_total) << "run " << run;
+    EXPECT_EQ(requested, first_requested) << "run " << run;
+  }
 }
 
 TEST_F(SemTest, ActiveRowsShrinkOverIterations) {

@@ -4,9 +4,10 @@
 //  * each ISA is bitwise self-deterministic call to call;
 //  * the scalar table reproduces the legacy core/distance.hpp kernels
 //    bit-for-bit;
-//  * the blocked nearest-centroid kernel is bitwise-identical to k
-//    independent dist_sq calls of the same ISA (the contract that keeps
-//    MTI-pruned and full-scan paths in exact agreement);
+//  * the blocked nearest-centroid kernel and the candidate-list kernel are
+//    bitwise-identical to independent dist_sq calls of the same ISA (the
+//    contract that keeps MTI-pruned and full-scan paths in exact
+//    agreement);
 //  * CentroidPack rows are 64-byte aligned with zero padding for every
 //    d in 1..33 (the odd-d regression sweep);
 //  * Options::simd steers the engines and every ISA yields identical
@@ -90,6 +91,7 @@ TEST(SimdDispatch, ScalarAlwaysAvailableAndResolves) {
     ASSERT_NE(ops.dot, nullptr);
     ASSERT_NE(ops.nearest, nullptr);
     ASSERT_NE(ops.nearest_blocked, nullptr);
+    ASSERT_NE(ops.dist_sq_list, nullptr);
   }
   // Unavailable requests clamp downward instead of failing, and kAuto
   // always lands on something dispatchable (KNOR_SIMD may steer it, so no
@@ -189,9 +191,10 @@ TEST(SimdKernels, ScalarTableMatchesLegacyBitForBit) {
   }
 }
 
-// The contract that keeps MTI-pruned (per-centroid dist_sq) and full-scan
+// The contract that keeps MTI-pruned (candidate-list) and full-scan
 // (blocked) paths in exact agreement: for every ISA, the blocked kernel's
-// per-centroid distances are bitwise IDENTICAL to that ISA's dist_sq.
+// and the list kernel's distances are bitwise IDENTICAL to that ISA's
+// dist_sq on the unpadded rows.
 TEST(SimdKernels, BlockedMatchesPerCentroidDistSqBitwise) {
   Prng rng(0xb10c, 4);
   for (const Isa isa : kernels::available_isas()) {
@@ -225,6 +228,36 @@ TEST(SimdKernels, BlockedMatchesPerCentroidDistSqBitwise) {
         EXPECT_EQ(ops.nearest(point.data(), cents.data(), k, d, &generic_sq),
                   ref_best);
         EXPECT_EQ(std::memcmp(&generic_sq, &ref_sq, sizeof(value_t)), 0);
+
+        // dist_sq_list over identity, reversed and repeated lists and
+        // their prefixes; nothing is written past out[m - 1].
+        std::vector<cluster_t> identity, reversed, repeated;
+        for (int c = 0; c < k; ++c) {
+          identity.push_back(static_cast<cluster_t>(c));
+          reversed.push_back(static_cast<cluster_t>(k - 1 - c));
+        }
+        for (int i = 0; i < 2 * k + 3; ++i)
+          repeated.push_back(static_cast<cluster_t>((i / 2) % k));
+        for (const auto* list : {&identity, &reversed, &repeated}) {
+          const int len = static_cast<int>(list->size());
+          for (const int m : {0, 1, 3, 4, 5, len}) {
+            if (m > len) continue;
+            const value_t sentinel = -1.0;
+            std::vector<value_t> out(static_cast<std::size_t>(m) + 1,
+                                     sentinel);
+            ops.dist_sq_list(point.data(), pack, list->data(), m, out.data());
+            for (int i = 0; i < m; ++i) {
+              const value_t want = ops.dist_sq(
+                  point.data(),
+                  cents.data() + static_cast<std::size_t>((*list)[i]) * d, d);
+              ASSERT_EQ(std::memcmp(&out[i], &want, sizeof(value_t)), 0)
+                  << kernels::to_string(isa) << " d=" << d << " k=" << k
+                  << " m=" << m << " i=" << i;
+            }
+            EXPECT_EQ(std::memcmp(&out[m], &sentinel, sizeof(value_t)), 0)
+                << kernels::to_string(isa) << " d=" << d << " m=" << m;
+          }
+        }
       }
     }
   }
