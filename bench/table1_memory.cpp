@@ -71,7 +71,9 @@ void run(Context& ctx) {
   kmeans(m.const_view(), opts);
   emit("knori-", mb(mt.peak_bytes()), mb(nd + tkd));
 
-  // knors (MTI + row cache): O(2n + Tkd + k^2) + configured caches
+  // knors (MTI + row cache): O(2n + Tkd + k^2) + configured caches. The row
+  // cache is double-buffered (a published and a staging side), so it holds
+  // twice its budget.
   sem::SemOptions sopts;
   sopts.page_cache_bytes = 1 << 20;
   sopts.row_cache_bytes = 1 << 20;
@@ -79,7 +81,8 @@ void run(Context& ctx) {
   opts.prune = true;
   sem::kmeans(file.path(), opts, sopts);
   emit("knors", mb(mt.peak_bytes()),
-       mb(2 * n1 + tkd + k2 + sopts.page_cache_bytes + sopts.row_cache_bytes));
+       mb(2 * n1 + tkd + k2 + sopts.page_cache_bytes +
+          2 * sopts.row_cache_bytes));
 
   // knors-- (no MTI, no row cache): O(n + Tkd) + page cache
   mt.reset();

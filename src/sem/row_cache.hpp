@@ -12,23 +12,24 @@
 //
 // Partitioning: one partition per compute thread, addressed by the row's
 // *home* partition (the thread that owns the row's block), so a row always
-// lands in the same partition regardless of which thread fetched it. In the
-// common case (no work stealing) population is partition-private; a
-// per-partition mutex covers the stealing case. Published-side lookups are
-// read-only and unlocked: the published structures are immutable between
-// publish() calls, which happen at single-threaded iteration boundaries.
+// lands in the same partition regardless of which thread fetched it.
 //
-// Admission is by row id, not by arrival: a refresh stages the
-// capacity_rows() / partitions smallest ids offered to each partition. The
-// staged set is then a pure function of the iteration's active rows, so
-// which worker offers a row first (a steal-order race) cannot change what
+// Admission is by rank: a refresh keeps the first rows_per_part() active
+// rows of each partition in ascending id order. The caller ranks every
+// active row among its partition's active rows (DESIGN.md §4) and stages
+// the row into slot `rank`. Slots are distinct, so concurrent staging needs
+// no lock, and the staged set is a pure function of the iteration's active
+// rows: which worker processes a row (a steal-order race) cannot change what
 // is cached, and the deterministic hit and byte counters repeat exactly.
+//
+// Double buffering: each partition holds a published slab, read-only
+// between publish() calls (which happen at single-threaded iteration
+// boundaries), and a staging slab written during a refresh. publish() swaps
+// them, so the published ids are always ascending and a chunk finds its
+// hits with one binary search and a merge walk.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "common/aligned_buffer.hpp"
@@ -50,59 +51,67 @@ class RowCache {
 
   /// Called once (single-threaded) at the start of iteration `iter`
   /// (1-based). Returns kRefresh on the exponential schedule
-  /// {I, 2I, 4I, ...}, else kStatic. On kRefresh the staging side is
-  /// cleared; the published side keeps serving lookups until publish().
+  /// {I, 2I, 4I, ...}, else kStatic. A first call past a scheduled refresh
+  /// (a resumed run) picks the schedule up at the next one. The published
+  /// side keeps serving lookups until publish().
   Mode begin_iteration(int iter);
 
-  /// Read-only lookup in the published cache for row r, whose home
-  /// partition is `part`. Returns the row's data or nullptr. Counts
-  /// nothing: callers tally their own hits, so concurrent lookups share no
-  /// written cache line.
-  const value_t* lookup(int part, index_t r) const;
+  /// A partition's published rows: `size` ids, ascending, and row i's data
+  /// at `rows + i * d`.
+  struct Slab {
+    const index_t* ids = nullptr;
+    std::size_t size = 0;
+    const value_t* rows = nullptr;
+  };
+  /// Read-only view of partition `part`'s published rows; valid until the
+  /// next publish().
+  Slab published(int part) const;
 
-  /// During a kRefresh iteration, offer an active row just fetched. Kept
-  /// while it is among the partition's smallest offered ids that fit the
-  /// budget; a larger staged row is evicted to make room.
-  void offer(int part, index_t r, const value_t* row_data);
+  /// During a kRefresh iteration, stage active row `r` of partition `part`,
+  /// whose rank among the partition's active rows in ascending id order is
+  /// `rank` (< rows_per_part()), into staging slot `rank`. Ignored in a
+  /// kStatic iteration.
+  void stage(int part, std::size_t rank, index_t r, const value_t* row_data);
 
-  /// Publish the staged partitions (end of a kRefresh iteration,
-  /// single-threaded).
-  void publish();
+  /// End of a kRefresh iteration (single-threaded): `active_rows[p]` is
+  /// partition p's active-row count, so its first min(rows_per_part(),
+  /// active_rows[p]) slots were staged and become its published rows.
+  void publish(const std::vector<std::uint64_t>& active_rows);
 
   /// Rows currently resident (published side).
   std::size_t resident_rows() const;
+  std::size_t rows_per_part() const { return rows_per_part_; }
   std::size_t capacity_rows() const { return rows_per_part_ * parts_.size(); }
-  /// Bytes knors accounts for the cache: one row slab plus the staging id
-  /// heaps, both allocated at construction.
+  /// Bytes the cache holds, all allocated at construction: a published and
+  /// a staging slab, each with its ids.
   std::size_t bytes() const {
-    return capacity_rows() * (static_cast<std::size_t>(d_) * sizeof(value_t) +
-                              sizeof(index_t));
+    return 2 * capacity_rows() *
+           (static_cast<std::size_t>(d_) * sizeof(value_t) + sizeof(index_t));
   }
   int update_interval() const { return update_interval_; }
   void set_update_interval(int interval);
 
  private:
+  // Both id arrays are mmap-backed: a malloc'd block here shifts where
+  // glibc places the constructing thread's later large allocations
+  // (DESIGN.md §4).
   struct Partition {
-    std::mutex staging_mu;
-    // Staging side (written during refresh iterations). The first
-    // staging_index.size() entries of staging_ids are the staged ids as a
-    // max-heap, so the largest is the one evicted. The ids are mmap-backed:
-    // a malloc'd block here shifts which later large allocations of the
-    // constructing thread glibc serves from its heap (DESIGN.md §4).
-    std::unordered_map<index_t, std::size_t> staging_index;
+    // Published side (read-only between publish() calls): `size` rows.
+    numa::NodeBuffer<index_t> ids;
+    AlignedBuffer<value_t> slab;
+    std::size_t size = 0;
+    // Staging side: slot = rank among the partition's active rows.
     numa::NodeBuffer<index_t> staging_ids;
     AlignedBuffer<value_t> staging_slab;
-    // Published side (read-only between publish() calls).
-    std::unordered_map<index_t, std::size_t> index;
-    AlignedBuffer<value_t> slab;
   };
 
   index_t d_;
   std::size_t rows_per_part_;
   int update_interval_ = 5;
-  int next_refresh_ = 5;
+  // 64-bit: doubling past the last int iteration must not overflow.
+  std::int64_t next_refresh_ = 5;
   bool refreshing_ = false;
-  std::vector<std::unique_ptr<Partition>> parts_;
+  std::vector<Partition> parts_;
 };
 
 }  // namespace knor::sem

@@ -50,6 +50,24 @@ struct alignas(kCacheLine) SemPerThread {
   std::uint64_t changed = 0;
   std::uint64_t active = 0;
   std::uint64_t rc_hits = 0;
+  // MTI work buffers, k entries each when pruning: a row's clause-2
+  // survivors and their squared distances from one dist_sq_list call.
+  std::vector<cluster_t> cand;
+  std::vector<value_t> cand_sq;
+};
+
+/// A chunk's intersection with one home partition's row block.
+struct Segment {
+  index_t begin;
+  index_t end;  ///< exclusive
+  int home;
+};
+
+/// Where a queued row-cache miss goes once fetched in a refresh iteration:
+/// staging slot `rank` of partition `part`, when the rank fits the budget.
+struct StageSlot {
+  int part;
+  std::uint64_t rank;
 };
 
 DenseMatrix sem_init_centroids(PageFile& file, IoEngine& engine,
@@ -101,10 +119,6 @@ Result kmeans(const std::string& path, const Options& opts,
   obs::Histogram& io_wait_us =
       reg.histogram("sem.io_wait_us", obs::Det::kTiming);
   const kernels::Ops& K = kernels::ops_for(opts.simd);
-  // MTI bookkeeping below is in TRUE distances (kernels return squared).
-  const auto edist = [&K](const value_t* a, const value_t* b, index_t dim) {
-    return std::sqrt(K.dist_sq(a, b, dim));
-  };
   PageFile file(path, sem_opts.page_size, sem_opts.ssd);
   const index_t n = file.n();
   const index_t d = file.d();
@@ -148,6 +162,15 @@ Result kmeans(const std::string& path, const Options& opts,
     if (opts.prune && restored.upper_bounds.empty())
       throw std::runtime_error(
           "sem::kmeans: checkpoint lacks MTI state but pruning is on");
+    // knors applies membership deltas to persistent sums in both modes, so
+    // resuming without them would restart the centroids from zero sums.
+    if (restored.sums.rows() != static_cast<index_t>(k) ||
+        restored.sums.cols() != d)
+      throw std::runtime_error(
+          "sem::kmeans: checkpoint lacks the sums block (k x d)");
+    if (restored.counts.size() != static_cast<std::size_t>(k))
+      throw std::runtime_error(
+          "sem::kmeans: checkpoint lacks the counts block (k)");
     resumed = true;
   }
 
@@ -174,7 +197,7 @@ Result kmeans(const std::string& path, const Options& opts,
   // Persistent centroid accumulators (sums/counts), updated by deltas.
   DenseMatrix sums(static_cast<index_t>(k), d);
   std::vector<std::int64_t> counts(static_cast<std::size_t>(k), 0);
-  if (resumed && !restored.sums.empty()) {
+  if (resumed) {
     sums = std::move(restored.sums);
     counts = std::move(restored.counts);
   }
@@ -195,6 +218,33 @@ Result kmeans(const std::string& path, const Options& opts,
   // node's chunks steals I/O-feeding chunks from the cheapest remote node.
   ChunkAccum<SignedCentroids> deltas(chunks, k, d);
   std::vector<SemPerThread> per_thread(static_cast<std::size_t>(T));
+  if (opts.prune)
+    for (auto& pt : per_thread) {
+      pt.cand.resize(static_cast<std::size_t>(k));
+      pt.cand_sq.resize(static_cast<std::size_t>(k));
+    }
+
+  // The chunk grid cut at home-partition boundaries, in row order: chunk c
+  // owns segments [chunk_segs[c], chunk_segs[c + 1]). A refresh ranks each
+  // partition's active rows through it (DESIGN.md §4): seg_rank[s] is the
+  // rank of segment s's first active row, part_active[p] is partition p's
+  // active-row count.
+  std::vector<Segment> segs;
+  std::vector<std::size_t> chunk_segs;
+  chunk_segs.reserve(chunks + 1);
+  for (index_t begin = 0; begin < n; begin += task_size) {
+    chunk_segs.push_back(segs.size());
+    const index_t end = std::min(n, begin + task_size);
+    for (index_t r = begin; r < end;) {
+      const int home = parts.thread_of_row(r);
+      const index_t seg_end = std::min(end, parts.thread_rows(home).end);
+      segs.push_back({r, seg_end, home});
+      r = seg_end;
+    }
+  }
+  chunk_segs.push_back(segs.size());
+  std::vector<std::uint64_t> seg_rank(use_rc ? segs.size() : 0);
+  std::vector<std::uint64_t> part_active(static_cast<std::size_t>(T));
 
   const index_t batch_rows =
       sem_opts.io_batch_rows == 0 ? 2048 : sem_opts.io_batch_rows;
@@ -213,6 +263,16 @@ Result kmeans(const std::string& path, const Options& opts,
       static_cast<std::uint64_t>(opts.tolerance * static_cast<double>(n));
   bool refresh_mode = false;
 
+  // MTI clause 1 for row r: true when its assignment provably stands this
+  // iteration (no I/O, no compute); `loosened` receives the row's loosened
+  // bound. Writes nothing, so the refresh count and pass 1 decide alike.
+  const auto clause1 = [&](index_t r, value_t& loosened) {
+    const cluster_t a = res.assignments[r];
+    if (!opts.prune || a == kInvalidCluster) return false;
+    loosened = mti.ub(r) + mti.drift(a);
+    return mti.clause1(a, loosened);
+  };
+
   // Assign + accumulate for one fetched (or cached) row; `chunk` selects
   // the deterministic accumulator slot of the task being processed.
   const auto process_row = [&](int tid, std::uint32_t chunk, index_t r,
@@ -222,10 +282,13 @@ Result kmeans(const std::string& path, const Options& opts,
     cluster_t best;
     value_t best_d;
     if (opts.prune && a != kInvalidCluster) {
+      // Gather (DESIGN.md §3): clause 2 reads no distance, so its survivors
+      // are listed before any is evaluated: `a` first, then ascending.
       const value_t loosened = mti.ub(r) + mti.drift(a);
-      best_d = edist(v, cur.row(a), d);
-      ++pt.counters.dist_computations;
-      best = a;
+      cluster_t* cand = pt.cand.data();
+      value_t* cand_sq = pt.cand_sq.data();
+      int m = 0;
+      cand[m++] = a;
       for (int c = 0; c < k; ++c) {
         if (static_cast<cluster_t>(c) == a) continue;
         if (loosened <=
@@ -233,16 +296,33 @@ Result kmeans(const std::string& path, const Options& opts,
           ++pt.counters.clause2_skips;
           continue;
         }
-        if (best_d <=
-            value_t(0.5) * mti.c2c(best, static_cast<cluster_t>(c))) {
+        cand[m++] = static_cast<cluster_t>(c);
+      }
+      // Evaluate: one kernel call, bitwise equal to one dist_sq per
+      // candidate (kernels/simd.hpp contract).
+      K.dist_sq_list(v, pack, cand, m, cand_sq);
+      // Replay clause 3 and the argmin over true distances. sqrt is
+      // correctly rounded and monotone, so sqrt(x) < best_d implies
+      // x < best_sq: the squared test only spares the sqrt of an entry that
+      // cannot win, and the decision is the true-distance one.
+      value_t best_sq = cand_sq[0];
+      best_d = std::sqrt(best_sq);
+      ++pt.counters.dist_computations;
+      best = a;
+      for (int i = 1; i < m; ++i) {
+        const cluster_t c = cand[i];
+        if (best_d <= value_t(0.5) * mti.c2c(best, c)) {
           ++pt.counters.clause3_skips;
           continue;
         }
-        const value_t dc = edist(v, cur.row(static_cast<index_t>(c)), d);
         ++pt.counters.dist_computations;
-        if (dc < best_d) {
-          best_d = dc;
-          best = static_cast<cluster_t>(c);
+        if (cand_sq[i] < best_sq) {
+          const value_t dc = std::sqrt(cand_sq[i]);
+          if (dc < best_d) {
+            best_d = dc;
+            best_sq = cand_sq[i];
+            best = c;
+          }
         }
       }
     } else {
@@ -264,14 +344,44 @@ Result kmeans(const std::string& path, const Options& opts,
     res.assignments[r] = best;
   };
 
+  const std::uint64_t rows_per_part = row_cache.rows_per_part();
   const auto worker = [&](int tid) {
     auto& pt = per_thread[static_cast<std::size_t>(tid)];
     pt.changed = 0;
     pt.active = 0;
     pt.rc_hits = 0;
 
+    if (refresh_mode) {
+      // Rank the active rows before any chunk is claimed: count each
+      // segment's clause-1 survivors (a static split of the segments),
+      // then one thread turns the counts into first ranks per partition.
+      const std::size_t S = segs.size();
+      const auto ut = static_cast<std::size_t>(tid);
+      const auto uT = static_cast<std::size_t>(T);
+      for (std::size_t s = S * ut / uT; s < S * (ut + 1) / uT; ++s) {
+        std::uint64_t count = 0;
+        value_t loosened;
+        for (index_t r = segs[s].begin; r < segs[s].end; ++r)
+          if (!clause1(r, loosened)) ++count;
+        seg_rank[s] = count;
+      }
+      sched.barrier().arrive_and_wait();
+      if (tid == 0) {
+        std::fill(part_active.begin(), part_active.end(), 0);
+        for (std::size_t s = 0; s < S; ++s) {
+          std::uint64_t& total =
+              part_active[static_cast<std::size_t>(segs[s].home)];
+          const std::uint64_t count = seg_rank[s];
+          seg_rank[s] = total;
+          total += count;
+        }
+      }
+      sched.barrier().arrive_and_wait();
+    }
+
     std::vector<index_t> needed;
     std::vector<index_t> to_fetch;
+    std::vector<StageSlot> fetch_slots;  // refresh only: one per to_fetch
     std::vector<index_t> fetch_now, fetch_next;
     DenseMatrix buf_now(batch_rows, d), buf_next(batch_rows, d);
 
@@ -280,30 +390,44 @@ Result kmeans(const std::string& path, const Options& opts,
       // Pass 1 — no data access: clause 1 decides which rows need I/O.
       needed.clear();
       for (index_t r = task.begin; r < task.end; ++r) {
-        const cluster_t a = res.assignments[r];
-        if (opts.prune && a != kInvalidCluster) {
-          const value_t loosened = mti.ub(r) + mti.drift(a);
-          if (mti.clause1(a, loosened)) {
-            mti.set_ub(r, loosened);
-            ++pt.counters.clause1_skips;
-            continue;  // assignment provably unchanged: no I/O, no compute
-          }
+        value_t loosened;
+        if (clause1(r, loosened)) {
+          mti.set_ub(r, loosened);
+          ++pt.counters.clause1_skips;
+          continue;  // assignment provably unchanged: no I/O, no compute
         }
         needed.push_back(r);
       }
       pt.active += needed.size();
 
-      // Row-cache pass: serve hits immediately, queue the rest.
+      // Row-cache pass, one segment at a time: a merge walk of the
+      // segment's ascending active rows against its home partition's
+      // ascending published ids serves hits now and queues the rest. In a
+      // refresh, an active row whose rank fits the budget is staged.
       to_fetch.clear();
-      for (index_t r : needed) {
-        const int home = parts.thread_of_row(r);
-        const value_t* cached = use_rc ? row_cache.lookup(home, r) : nullptr;
-        if (cached != nullptr) {
-          ++pt.rc_hits;
-          process_row(tid, task.chunk, r, cached);
-          if (refresh_mode) row_cache.offer(home, r, cached);
-        } else {
-          to_fetch.push_back(r);
+      fetch_slots.clear();
+      auto next = needed.cbegin();
+      for (std::size_t s = chunk_segs[task.chunk];
+           s < chunk_segs[task.chunk + 1]; ++s) {
+        const Segment& seg = segs[s];
+        const RowCache::Slab pub = row_cache.published(seg.home);
+        const index_t* const pub_end = pub.ids + pub.size;
+        const index_t* hit = std::lower_bound(pub.ids, pub_end, seg.begin);
+        std::uint64_t rank = refresh_mode ? seg_rank[s] : 0;
+        for (; next != needed.cend() && *next < seg.end; ++next, ++rank) {
+          const index_t r = *next;
+          while (hit != pub_end && *hit < r) ++hit;
+          if (hit != pub_end && *hit == r) {
+            const value_t* cached =
+                pub.rows + static_cast<std::size_t>(hit - pub.ids) * d;
+            ++pt.rc_hits;
+            process_row(tid, task.chunk, r, cached);
+            if (refresh_mode && rank < rows_per_part)
+              row_cache.stage(seg.home, rank, r, cached);
+          } else {
+            to_fetch.push_back(r);
+            if (refresh_mode) fetch_slots.push_back({seg.home, rank});
+          }
         }
       }
 
@@ -317,6 +441,7 @@ Result kmeans(const std::string& path, const Options& opts,
                    to_fetch.begin() + static_cast<std::ptrdiff_t>(end));
         pos = end;
       };
+      std::size_t now_at = 0;  // fetch_now[0]'s index in to_fetch
       take_batch(fetch_now);
       while (!fetch_now.empty()) {
         take_batch(fetch_next);
@@ -331,9 +456,13 @@ Result kmeans(const std::string& path, const Options& opts,
           const index_t r = fetch_now[i];
           const value_t* v = buf_now.row(static_cast<index_t>(i));
           process_row(tid, task.chunk, r, v);
-          if (refresh_mode && use_rc)
-            row_cache.offer(parts.thread_of_row(r), r, v);
+          if (refresh_mode) {
+            const StageSlot& slot = fetch_slots[now_at + i];
+            if (slot.rank < rows_per_part)
+              row_cache.stage(slot.part, slot.rank, r, v);
+          }
         }
+        now_at += fetch_now.size();
         ticket.wait();
         std::swap(fetch_now, fetch_next);
       }
@@ -350,7 +479,7 @@ Result kmeans(const std::string& path, const Options& opts,
       obs::Span span_assign("assign");
       sched.run(worker);
     }
-    if (refresh_mode) row_cache.publish();
+    if (refresh_mode) row_cache.publish(part_active);
     obs::Span span_update("update");
 
     // Apply the dirty chunk deltas to the persistent sums in ascending

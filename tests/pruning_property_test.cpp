@@ -6,20 +6,27 @@
 // sequence. Pruning bugs (a bound that under-estimates, a drift applied in
 // the wrong direction, a stale c2c entry) show up here as a flipped
 // assignment on some seed long before they corrupt a benchmark. MTI's
-// clause and distance counters are pinned on two fixed inputs, so a path
-// that keeps the clustering but miscounts fails too.
+// clause and distance counters are pinned on two fixed inputs, for knori,
+// knord and knors, so a path that keeps the clustering but miscounts fails
+// too.
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <limits>
+#include <string>
 
 #include "common/prng.hpp"
 #include "core/engines.hpp"
 #include "core/knori.hpp"
 #include "data/generator.hpp"
+#include "data/matrix_io.hpp"
 #include "dist/knord.hpp"
+#include "sem/sem_kmeans.hpp"
 
 namespace knor {
 namespace {
@@ -114,14 +121,27 @@ void expect_pin(const Result& res, const MtiPin& want, const char* what) {
   EXPECT_EQ(assignment_hash(res.assignments), want.assign_hash) << what;
 }
 
+/// knors's own pin. knors applies each chunk's deltas in its own row order
+/// (row-cache hits first), so its sums, and from them its counters, may
+/// differ from knori's in the last bits. `hits_t1` / `hits_t3` are the run
+/// totals of `sem.row_cache_hits` at T=1 and T=3: the cache has one
+/// partition per thread, so they differ between thread counts.
+struct KnorsPin {
+  MtiPin mti;
+  std::uint64_t hits_t1, hits_t3;
+};
+
 /// MTI's counters on fixed inputs under the scalar ISA, so the values hold
 /// on any host. They were recorded with one dist_sq call per candidate;
 /// evaluating a row's candidates in one kernel call must reproduce them.
 /// `dist_computations` counts the distances MTI's logic consults, not the
 /// ones a kernel evaluates. knori at T=1 and T=3 and knord over 3 ranks
-/// must agree, since every counter is a sum of per-row decisions.
+/// must agree, since every counter is a sum of per-row decisions. knors
+/// reads the rows from a .kmat through a row cache smaller than the active
+/// set, refreshed every power-of-two iteration, so the pinned hits also
+/// cover which rows a refresh admits.
 void check_mti_pins(const data::GeneratorSpec& spec, Options opts,
-                    const MtiPin& want) {
+                    const MtiPin& want, const KnorsPin& knors_want) {
   const DenseMatrix m = data::generate(spec);
   opts.prune = true;
   opts.simd = kernels::Isa::kScalar;
@@ -134,6 +154,25 @@ void check_mti_pins(const data::GeneratorSpec& spec, Options opts,
   dopts.ranks = 3;
   dopts.threads_per_rank = 1;
   expect_pin(dist::kmeans(m.const_view(), opts, dopts), want, "knord 3 ranks");
+
+  const std::filesystem::path matrix =
+      std::filesystem::temp_directory_path() /
+      ("knor_pruning_" + std::to_string(::getpid()) + ".kmat");
+  data::write_generated(matrix.string(), spec);
+  sem::SemOptions sopts;
+  sopts.row_cache_bytes = 256 * spec.d * sizeof(value_t);  // 256 rows
+  sopts.cache_update_interval = 1;
+  for (const int threads : {1, 3}) {
+    opts.threads = threads;
+    const Result res = sem::kmeans(matrix.string(), opts, sopts);
+    const std::string what = "knors T=" + std::to_string(threads);
+    expect_pin(res, knors_want.mti, what.c_str());
+    EXPECT_EQ(res.metrics.value_or("sem.row_cache_hits", -1),
+              static_cast<std::int64_t>(threads == 1 ? knors_want.hits_t1
+                                                     : knors_want.hits_t3))
+        << what;
+  }
+  std::filesystem::remove(matrix);
 }
 
 // Well-separated clusters: every clause fires, clause 3 included.
@@ -148,9 +187,8 @@ TEST(PruningProperty, MtiCountersPinnedOnNaturalClusters) {
   opts.k = 8;
   opts.max_iters = 30;
   opts.seed = 17;
-  check_mti_pins(spec, opts,
-                 MtiPin{30, 73800, 551256, 16419, 281925,
-                        17589008640000058004ull});
+  const MtiPin pin{30, 73800, 551256, 16419, 281925, 17589008640000058004ull};
+  check_mti_pins(spec, opts, pin, KnorsPin{pin, 7271, 7245});
 }
 
 // Uniform rows, k=64: MTI's worst case, where clauses 2 and 3 barely fire
@@ -165,8 +203,8 @@ TEST(PruningProperty, MtiCountersPinnedOnUniformK64) {
   opts.k = 64;
   opts.max_iters = 10;
   opts.seed = 5;
-  check_mti_pins(spec, opts,
-                 MtiPin{10, 0, 5119, 3827, 2551054, 20740262005782621ull});
+  const MtiPin pin{10, 0, 5119, 3827, 2551054, 20740262005782621ull};
+  check_mti_pins(spec, opts, pin, KnorsPin{pin, 2304, 2295});
 }
 
 /// Energy after 1..steps Lloyd iterations: re-runs with growing max_iters

@@ -384,38 +384,54 @@ TEST_F(SemTest, IoEnginePageTalliesCountRowPagePieces) {
   }
 }
 
-TEST(RowCacheTest, LazyRefreshSchedule) {
-  RowCache rc(1 << 16, 8, 2);
-  rc.set_update_interval(5);
-  std::vector<int> refresh_iters;
-  for (int it = 1; it <= 45; ++it) {
-    if (rc.begin_iteration(it) == RowCache::Mode::kRefresh) {
-      refresh_iters.push_back(it);
-      rc.publish();
-    }
-  }
-  EXPECT_EQ(refresh_iters, (std::vector<int>{5, 10, 20, 40}));
+/// Partition `part`'s published row `r`, or nullptr when it is not cached.
+const value_t* cached_row(const RowCache& rc, int part, index_t r,
+                          index_t d) {
+  const RowCache::Slab slab = rc.published(part);
+  const index_t* end = slab.ids + slab.size;
+  const index_t* it = std::lower_bound(slab.ids, end, r);
+  if (it == end || *it != r) return nullptr;
+  return slab.rows + static_cast<std::size_t>(it - slab.ids) * d;
 }
 
-TEST(RowCacheTest, OfferOnlyDuringRefreshAndLookupAfterPublish) {
+// Refreshes run at I, 2I, 4I, ...; a run resumed at iteration 9 has missed
+// the refresh at 5 and picks the schedule up at the next one.
+TEST(RowCacheTest, LazyRefreshSchedule) {
+  const auto refreshes_from = [](int first) {
+    RowCache rc(1 << 16, 8, 2);
+    rc.set_update_interval(5);
+    std::vector<int> refresh_iters;
+    for (int it = first; it <= 45; ++it) {
+      if (rc.begin_iteration(it) == RowCache::Mode::kRefresh) {
+        refresh_iters.push_back(it);
+        rc.publish({0, 0});
+      }
+    }
+    return refresh_iters;
+  };
+  EXPECT_EQ(refreshes_from(1), (std::vector<int>{5, 10, 20, 40}));
+  EXPECT_EQ(refreshes_from(9), (std::vector<int>{10, 20, 40}));
+}
+
+TEST(RowCacheTest, StaticIterationsStageNothing) {
   RowCache rc(1 << 16, 4, 1);
-  rc.set_update_interval(1);
   const value_t row[4] = {1, 2, 3, 4};
 
-  // Static iteration: offers are ignored.
+  // Static iteration: staging is ignored and publish changes nothing.
   rc.set_update_interval(5);
   EXPECT_EQ(rc.begin_iteration(1), RowCache::Mode::kStatic);
-  rc.offer(0, 7, row);
-  rc.publish();
-  EXPECT_EQ(rc.lookup(0, 7), nullptr);
+  rc.stage(0, 0, 7, row);
+  rc.publish({1});
+  EXPECT_EQ(rc.resident_rows(), 0u);
+  EXPECT_EQ(cached_row(rc, 0, 7, 4), nullptr);
 
-  // Refresh iteration: offer then publish makes the row visible.
+  // Refresh iteration: a staged row is visible only after publish.
   rc.set_update_interval(2);
   EXPECT_EQ(rc.begin_iteration(2), RowCache::Mode::kRefresh);
-  rc.offer(0, 7, row);
-  EXPECT_EQ(rc.lookup(0, 7), nullptr);  // not yet published
-  rc.publish();
-  const value_t* got = rc.lookup(0, 7);
+  rc.stage(0, 0, 7, row);
+  EXPECT_EQ(cached_row(rc, 0, 7, 4), nullptr);  // not yet published
+  rc.publish({1});
+  const value_t* got = cached_row(rc, 0, 7, 4);
   ASSERT_NE(got, nullptr);
   for (int j = 0; j < 4; ++j) EXPECT_EQ(got[j], row[j]);
   EXPECT_EQ(rc.resident_rows(), 1u);
@@ -427,58 +443,71 @@ TEST(RowCacheTest, RefreshFlushesPreviousContents) {
   const value_t a[2] = {1, 1};
   const value_t b[2] = {2, 2};
   rc.begin_iteration(1);
-  rc.offer(0, 100, a);
-  rc.publish();
-  ASSERT_NE(rc.lookup(0, 100), nullptr);
+  rc.stage(0, 0, 100, a);
+  rc.publish({1});
+  ASSERT_NE(cached_row(rc, 0, 100, 2), nullptr);
   rc.begin_iteration(2);
-  rc.offer(0, 200, b);
-  rc.publish();
-  EXPECT_EQ(rc.lookup(0, 100), nullptr);  // flushed
-  EXPECT_NE(rc.lookup(0, 200), nullptr);
+  rc.stage(0, 0, 200, b);
+  rc.publish({1});
+  EXPECT_EQ(cached_row(rc, 0, 100, 2), nullptr);  // flushed
+  EXPECT_NE(cached_row(rc, 0, 200, 2), nullptr);
+  EXPECT_EQ(rc.resident_rows(), 1u);
 }
 
+// Each partition publishes min(budget, its active rows).
 TEST(RowCacheTest, BudgetCapsResidency) {
-  RowCache rc(4 * 8 * sizeof(value_t), 8, 1);  // 4 rows
+  RowCache rc(2 * 4 * 8 * sizeof(value_t), 8, 2);  // 4 rows per partition
+  ASSERT_EQ(rc.rows_per_part(), 4u);
   rc.set_update_interval(1);
   const value_t row[8] = {};
   rc.begin_iteration(1);
-  for (index_t r = 0; r < 100; ++r) rc.offer(0, r, row);
-  rc.publish();
-  EXPECT_EQ(rc.resident_rows(), 4u);
+  for (std::size_t rank = 0; rank < 4; ++rank) rc.stage(0, rank, rank, row);
+  for (std::size_t rank = 0; rank < 2; ++rank)
+    rc.stage(1, rank, 500 + rank, row);
+  rc.publish({100, 2});  // partition 0 had 100 active rows, partition 1 two
+  EXPECT_EQ(rc.published(0).size, 4u);
+  EXPECT_EQ(rc.published(1).size, 2u);
+  EXPECT_EQ(rc.resident_rows(), 6u);
+  EXPECT_EQ(rc.bytes(),
+            2 * rc.capacity_rows() * (8 * sizeof(value_t) + sizeof(index_t)));
 }
 
-// Admission keeps the partition's smallest offered ids, so the resident
-// rows and their bytes do not depend on the order the offers arrive in.
-TEST(RowCacheTest, AdmissionIndependentOfOfferOrder) {
+// Slots are addressed by rank, so the published ids and bytes do not
+// depend on the order in which workers stage them.
+TEST(RowCacheTest, PublishedRowsIndependentOfStagingOrder) {
   constexpr index_t kD = 8;
-  std::vector<index_t> ascending(100);
-  std::iota(ascending.begin(), ascending.end(), index_t(0));
-  std::vector<index_t> descending(ascending.rbegin(), ascending.rend());
-  std::vector<index_t> shuffled = ascending;
+  constexpr std::size_t kBudget = 4;
+  // Partition 0's active rows, ascending; only the first kBudget fit.
+  const std::vector<index_t> active = {3, 9, 10, 42, 57, 60, 81};
+  std::vector<std::size_t> ascending(active.size());
+  std::iota(ascending.begin(), ascending.end(), std::size_t(0));
+  std::vector<std::size_t> descending(ascending.rbegin(), ascending.rend());
+  std::vector<std::size_t> shuffled = ascending;
   std::mt19937_64 rng(7);
   std::shuffle(shuffled.begin(), shuffled.end(), rng);
   for (const auto* order : {&ascending, &descending, &shuffled}) {
-    RowCache rc(4 * kD * sizeof(value_t), kD, 1);  // 4 rows
+    RowCache rc(kBudget * kD * sizeof(value_t), kD, 1);
+    ASSERT_EQ(rc.rows_per_part(), kBudget);
     rc.set_update_interval(1);
     rc.begin_iteration(1);
-    for (const index_t r : *order) {
+    for (const std::size_t rank : *order) {
+      if (rank >= kBudget) continue;  // past the budget: the caller skips it
+      const index_t r = active[rank];
       value_t row[kD];
       for (index_t j = 0; j < kD; ++j)
         row[j] = static_cast<value_t>(r * 100 + j);
-      rc.offer(0, r, row);
+      rc.stage(0, rank, r, row);
     }
-    rc.publish();
-    EXPECT_EQ(rc.resident_rows(), 4u);
-    for (index_t r = 0; r < 100; ++r) {
-      const value_t* got = rc.lookup(0, r);
-      if (r >= 4) {
-        EXPECT_EQ(got, nullptr) << r;
-        continue;
-      }
-      ASSERT_NE(got, nullptr) << r;
+    rc.publish({active.size()});
+    const RowCache::Slab slab = rc.published(0);
+    ASSERT_EQ(slab.size, kBudget);
+    for (std::size_t i = 0; i < kBudget; ++i) {
+      EXPECT_EQ(slab.ids[i], active[i]);
       for (index_t j = 0; j < kD; ++j)
-        EXPECT_EQ(got[j], static_cast<value_t>(r * 100 + j)) << r;
+        EXPECT_EQ(slab.rows[i * kD + j],
+                  static_cast<value_t>(active[i] * 100 + j));
     }
+    EXPECT_EQ(cached_row(rc, 0, active[kBudget], kD), nullptr);
   }
 }
 
@@ -677,6 +706,48 @@ TEST_F(SemTest, RowCacheHitsRepeatAcrossRunsAtThreeThreads) {
     EXPECT_EQ(hits, first_hits) << "run " << run;
     EXPECT_EQ(total, first_total) << "run " << run;
     EXPECT_EQ(requested, first_requested) << "run " << run;
+  }
+}
+
+// Chunks of 64 rows straddle the home-partition boundaries at rows 333
+// and 666, so a chunk's active rows rank in two partitions. With a cache
+// below the active set refreshed at iterations 1, 2, 4 and 8, the hits of
+// every iteration are pinned (recorded with admission by a per-partition
+// heap of the smallest offered ids) and must not depend on the schedule.
+TEST_F(SemTest, RowCacheHitsPinnedWhenChunksStraddlePartitions) {
+  data::GeneratorSpec spec;
+  spec.n = 1000;
+  spec.d = 8;
+  spec.true_clusters = 5;
+  spec.seed = 31;
+  const std::string path = make_matrix(spec);
+  Options opts;
+  opts.k = 5;
+  opts.threads = 3;
+  opts.numa_nodes = 2;
+  opts.max_iters = 12;
+  opts.prune = true;
+  opts.seed = 3;
+  opts.task_size = 64;
+  SemOptions sopts;
+  sopts.page_size = 512;
+  sopts.page_cache_bytes = 16 << 10;
+  sopts.row_cache_bytes = 96 * 8 * sizeof(value_t);  // 32 rows a partition
+  sopts.cache_update_interval = 1;
+  const std::vector<std::uint64_t> want = {0,  78, 96, 96, 95, 96,
+                                           95, 95, 96, 96, 96, 96};
+  for (const auto policy :
+       {sched::SchedPolicy::kNumaAware, sched::SchedPolicy::kFifo,
+        sched::SchedPolicy::kStatic}) {
+    opts.sched = policy;
+    SemStats stats;
+    kmeans(path, opts, sopts, &stats);
+    std::vector<std::uint64_t> hits;
+    for (const auto& iter : stats.per_iter) {
+      hits.push_back(iter.row_cache_hits);
+      EXPECT_GT(iter.active_rows, 96u) << sched::to_string(policy);
+    }
+    EXPECT_EQ(hits, want) << sched::to_string(policy);
   }
 }
 

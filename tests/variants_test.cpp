@@ -244,7 +244,8 @@ TEST_P(CheckpointResume, ResumedRunMatchesUninterrupted) {
   opts.prune = prune;
 
   sem::SemOptions plain;
-  const Result uninterrupted = sem::kmeans(matrix, opts, plain);
+  sem::SemStats whole;
+  const Result uninterrupted = sem::kmeans(matrix, opts, plain, &whole);
 
   // Interrupted run: checkpoint every 4 iterations, "crash" at 8 by capping
   // max_iters, then resume to completion.
@@ -258,7 +259,8 @@ TEST_P(CheckpointResume, ResumedRunMatchesUninterrupted) {
 
   sem::SemOptions resume_opts = with_ckpt;
   resume_opts.resume = true;
-  const Result resumed = sem::kmeans(matrix, opts, resume_opts);
+  sem::SemStats resumed_io;
+  const Result resumed = sem::kmeans(matrix, opts, resume_opts, &resumed_io);
 
   EXPECT_EQ(resumed.iters + 8, uninterrupted.iters);
   EXPECT_LT(std::abs(resumed.energy - uninterrupted.energy) /
@@ -266,6 +268,20 @@ TEST_P(CheckpointResume, ResumedRunMatchesUninterrupted) {
             1e-9);
   for (std::size_t i = 0; i < uninterrupted.assignments.size(); ++i)
     ASSERT_EQ(resumed.assignments[i], uninterrupted.assignments[i]) << i;
+
+  // The resumed run misses the row-cache refresh at iteration 5 and picks
+  // the schedule up at 10; from iteration 11 on its cache holds what the
+  // uninterrupted run's holds. resumed_io.per_iter[j] is iteration 9 + j.
+  ASSERT_EQ(resumed_io.per_iter.size() + 8, whole.per_iter.size());
+  ASSERT_GT(resumed_io.per_iter.size(), 2u);
+  std::uint64_t hits = 0;
+  for (std::size_t j = 2; j < resumed_io.per_iter.size(); ++j) {
+    EXPECT_EQ(resumed_io.per_iter[j].row_cache_hits,
+              whole.per_iter[j + 8].row_cache_hits)
+        << "iteration " << j + 9;
+    hits += resumed_io.per_iter[j].row_cache_hits;
+  }
+  EXPECT_GT(hits, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(PruneModes, CheckpointResume, ::testing::Bool(),
@@ -294,6 +310,47 @@ TEST_F(CheckpointTest, ShapeMismatchRejectedOnResume) {
   sem::SemOptions resume_opts = sopts;
   resume_opts.resume = true;
   EXPECT_THROW(sem::kmeans(matrix, wrong_k, resume_opts), std::runtime_error);
+}
+
+// knors accumulates membership deltas against persistent sums in both
+// prune modes, so a checkpoint without its sums and counts cannot resume:
+// it would restart the centroids from zero sums.
+TEST_F(CheckpointTest, ResumeWithoutSumsRejected) {
+  data::GeneratorSpec spec;
+  spec.n = 500;
+  spec.d = 4;
+  spec.dist = data::Distribution::kUniformRandom;
+  const std::string matrix = dir_ / "m.kmat";
+  data::write_generated(matrix, spec);
+
+  for (const bool prune : {true, false}) {
+    Options opts;
+    opts.k = 3;
+    opts.threads = 2;
+    opts.max_iters = 4;
+    opts.prune = prune;
+    sem::SemOptions sopts;
+    sopts.checkpoint_path = dir_ / (prune ? "mti.ckpt" : "nomti.ckpt");
+    sopts.checkpoint_interval = 2;
+    sem::kmeans(matrix, opts, sopts);
+
+    sem::Checkpoint ckpt = sem::load_checkpoint(sopts.checkpoint_path);
+    ASSERT_FALSE(ckpt.sums.empty());
+    ckpt.sums = DenseMatrix();
+    ckpt.counts.clear();
+    sem::save_checkpoint(sopts.checkpoint_path, ckpt);
+
+    sem::SemOptions resume_opts = sopts;
+    resume_opts.resume = true;
+    opts.max_iters = 8;
+    try {
+      sem::kmeans(matrix, opts, resume_opts);
+      ADD_FAILURE() << "resumed without sums, prune=" << prune;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("sums"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace
