@@ -1,9 +1,9 @@
 // Kernel microbenchmarks, harness-native: the inner loops whose cost model
 // explains the macro results — distance kernels, per-thread centroid
 // accumulation and merge, MTI bookkeeping, task queue throughput, and the
-// collective used by knord. A dependency-free sibling of
-// kernels_gbench.cpp (which needs google-benchmark and stays outside the
-// registry); every number here is nanoseconds, i.e. a timing.
+// collective used by knord. The repo's one microbenchmark, with no
+// dependency beyond the harness; every number here is nanoseconds, i.e. a
+// timing.
 #include <algorithm>
 #include <string>
 #include <vector>

@@ -4,83 +4,55 @@
 // correctness oracle for MTI and to let the Table 1 / Figure 8 benches show
 // the memory trade-off the paper makes (O(nk) vs O(n) extra state).
 //
-// Runs on the work-stealing scheduler: every per-point step (bounds, argmin)
-// is row-local, so the assignment pass and the bounds-drift pass both
-// parallelize as chunked loops; centroid sums accumulate per chunk and fold
-// with the fixed tree, keeping results bitwise independent of thread count
-// and steal order like the main engine (DESIGN.md §7).
+// Runs on the full-scan skeleton (core/lloyd_loop.hpp): every per-point
+// step is row-local, so the bound update by centroid drift (Elkan's steps
+// 5-6) runs inside the next assignment pass, for each row just before its
+// bounds are read; centroid sums accumulate per chunk and fold with the
+// fixed tree, keeping results bitwise independent of thread count and
+// steal order like the main engine (DESIGN.md §7).
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <vector>
 
 #include "common/memory_tracker.hpp"
-#include "common/timer.hpp"
-#include "core/chunk_accum.hpp"
 #include "core/engines.hpp"
 #include "core/init.hpp"
 #include "core/kernels/simd.hpp"
-#include "core/run_metrics.hpp"
-#include "core/local_centroids.hpp"
-#include "numa/partitioner.hpp"
-#include "numa/topology.hpp"
-#include "sched/scheduler.hpp"
+#include "core/lloyd_loop.hpp"
 
 namespace knor {
+namespace {
 
-Result elkan_ti(ConstMatrixView data, const Options& opts) {
-  const kernels::Ops& K = kernels::ops_for(opts.simd);
-  knor::detail::RunMetricsScope run_metrics;
+struct ElkanStep {
+  ElkanStep(ConstMatrixView m, const Options& opts)
+      : K(kernels::ops_for(opts.simd)),
+        data(m),
+        d(m.cols()),
+        k(opts.k),
+        ub(static_cast<std::size_t>(m.rows()),
+           std::numeric_limits<value_t>::infinity()),
+        lb(static_cast<std::size_t>(m.rows()) * k, 0),
+        c2c(static_cast<std::size_t>(k) * k, 0),
+        s_half(static_cast<std::size_t>(k), 0),
+        drift(static_cast<std::size_t>(k), 0),
+        mem_lb("elkan-lower-bounds", lb.size() * sizeof(value_t)),
+        mem_ub("elkan-upper-bounds", ub.size() * sizeof(value_t)) {}
+
   // Elkan's bound algebra is in TRUE distances; the kernels return squared.
-  const auto edist = [&K](const value_t* a, const value_t* b, index_t dim) {
-    return std::sqrt(K.dist_sq(a, b, dim));
-  };
-  const index_t n = data.rows();
-  const index_t d = data.cols();
-  const int k = opts.k;
-
-  Result res;
-  res.assignments.assign(static_cast<std::size_t>(n), kInvalidCluster);
-  DenseMatrix cur = init_centroids(data, opts);
-  DenseMatrix next(static_cast<index_t>(k), d);
-
-  const auto topo = opts.numa_nodes > 0
-                        ? numa::Topology::simulated(opts.numa_nodes)
-                        : numa::Topology::detect();
-  const int T = opts.threads > 0 ? opts.threads : topo.num_cpus();
-  numa::Partitioner parts(n, T, topo);
-  sched::Scheduler sched(T, topo, /*bind=*/opts.numa_aware && opts.numa_bind,
-                         opts.sched);
-  const index_t task_size =
-      sched::Scheduler::resolve_task_size(n, opts.task_size);
-  const auto chunks =
-      static_cast<std::size_t>(sched::Scheduler::num_chunks(n, task_size));
-  ChunkAccum<LocalCentroids> acc(chunks, k, d);
-  struct alignas(kCacheLine) PerThread {
-    Counters counters;
-    std::uint64_t changed = 0;
-  };
-  std::vector<PerThread> per_thread(static_cast<std::size_t>(T));
-
-  // Elkan state: upper bound u(x), lower bounds l(x,c) — the O(nk) matrix —
-  // plus the c2c distances and per-centroid separations.
-  std::vector<value_t> ub(static_cast<std::size_t>(n),
-                          std::numeric_limits<value_t>::infinity());
-  std::vector<value_t> lb(static_cast<std::size_t>(n) * k, 0);
-  std::vector<value_t> c2c(static_cast<std::size_t>(k) * k, 0);
-  std::vector<value_t> s_half(static_cast<std::size_t>(k), 0);
-  std::vector<value_t> drift(static_cast<std::size_t>(k), 0);
-  ScopedAlloc mem_lb("elkan-lower-bounds", lb.size() * sizeof(value_t));
-  ScopedAlloc mem_ub("elkan-upper-bounds", ub.size() * sizeof(value_t));
-
-  const auto lbi = [&](index_t r, int c) -> value_t& {
+  value_t edist(const value_t* a, const value_t* b) const {
+    return std::sqrt(K.dist_sq(a, b, d));
+  }
+  value_t& lbi(index_t r, int c) {
     return lb[static_cast<std::size_t>(r) * k + c];
-  };
+  }
 
-  const auto prepare = [&] {
+  void begin(const DenseMatrix& centroids) {
+    cur = &centroids;
     for (int a = 0; a < k; ++a)
       for (int b = a + 1; b < k; ++b) {
-        const value_t dab = edist(cur.row(static_cast<index_t>(a)),
-                                  cur.row(static_cast<index_t>(b)), d);
+        const value_t dab = edist(cur->row(static_cast<index_t>(a)),
+                                  cur->row(static_cast<index_t>(b)));
         c2c[static_cast<std::size_t>(a) * k + b] = dab;
         c2c[static_cast<std::size_t>(b) * k + a] = dab;
       }
@@ -90,22 +62,40 @@ Result elkan_ti(ConstMatrixView data, const Options& opts) {
         if (b != a) m = std::min(m, c2c[static_cast<std::size_t>(a) * k + b]);
       s_half[static_cast<std::size_t>(a)] = k > 1 ? m * value_t(0.5) : 0;
     }
-  };
+  }
 
-  // One point of the assignment pass; accumulates into `slot`.
-  const auto process_point = [&](index_t r, LocalCentroids& slot,
-                                 PerThread& pt) {
+  void assign(int, const sched::Task& task,
+              const std::vector<cluster_t>& assignments, cluster_t* best,
+              Counters& cnt) {
+    for (index_t r = task.begin; r < task.end; ++r)
+      best[r - task.begin] = assign_point(r, assignments[r], cnt);
+  }
+
+  // Steps 5-6, first half: each centroid's drift. The bounds absorb it in
+  // the next assignment pass.
+  void end(const DenseMatrix& prev, DenseMatrix& next) {
+    for (int c = 0; c < k; ++c)
+      drift[static_cast<std::size_t>(c)] =
+          edist(prev.row(static_cast<index_t>(c)),
+                next.row(static_cast<index_t>(c)));
+  }
+
+  double energy(const value_t* row, const value_t* centroid) const {
+    return K.dist_sq(row, centroid, d);
+  }
+
+  /// Point r's cluster this iteration; `a` is its previous one.
+  cluster_t assign_point(index_t r, cluster_t a, Counters& cnt) {
     const value_t* v = data.row(r);
-    cluster_t a = res.assignments[r];
     if (a == kInvalidCluster) {
       // First iteration: full scan seeds both bound structures.
-      value_t best_d = edist(v, cur.row(0), d);
-      ++pt.counters.dist_computations;
+      value_t best_d = edist(v, cur->row(0));
+      ++cnt.dist_computations;
       lbi(r, 0) = best_d;
       cluster_t best = 0;
       for (int c = 1; c < k; ++c) {
-        const value_t dc = edist(v, cur.row(static_cast<index_t>(c)), d);
-        ++pt.counters.dist_computations;
+        const value_t dc = edist(v, cur->row(static_cast<index_t>(c)));
+        ++cnt.dist_computations;
         lbi(r, c) = dc;
         if (dc < best_d) {
           best_d = dc;
@@ -113,17 +103,20 @@ Result elkan_ti(ConstMatrixView data, const Options& opts) {
         }
       }
       ub[r] = best_d;
-      res.assignments[r] = best;
-      ++pt.changed;
-      slot.add(best, v);
-      return;
+      return best;
     }
+
+    // Steps 5-6, second half: loosen the bounds by the last update's drift.
+    for (int c = 0; c < k; ++c) {
+      auto& l = lbi(r, c);
+      l = std::max(value_t(0), l - drift[static_cast<std::size_t>(c)]);
+    }
+    ub[r] += drift[a];
 
     // Elkan step 2: skip the whole point when u(x) <= s(c(x)).
     if (ub[r] <= s_half[a]) {
-      ++pt.counters.clause1_skips;
-      slot.add(a, v);
-      return;
+      ++cnt.clause1_skips;
+      return a;
     }
     bool tight = false;
     value_t best_d = ub[r];
@@ -133,18 +126,18 @@ Result elkan_ti(ConstMatrixView data, const Options& opts) {
       // Step 3 conditions: candidate must beat both its lower bound and
       // the inter-centroid separation.
       if (best_d <= lbi(r, c)) {
-        ++pt.counters.clause2_skips;
+        ++cnt.clause2_skips;
         continue;
       }
       if (best_d <= value_t(0.5) *
                         c2c[static_cast<std::size_t>(best) * k + c]) {
-        ++pt.counters.clause3_skips;
+        ++cnt.clause3_skips;
         continue;
       }
       if (!tight) {
         // 3a: tighten u(x) = d(x, c(x)).
-        best_d = edist(v, cur.row(best), d);
-        ++pt.counters.dist_computations;
+        best_d = edist(v, cur->row(best));
+        ++cnt.dist_computations;
         lbi(r, best) = best_d;
         tight = true;
         if (best_d <= lbi(r, c) ||
@@ -153,77 +146,40 @@ Result elkan_ti(ConstMatrixView data, const Options& opts) {
           continue;
       }
       // 3b: compute d(x, c).
-      const value_t dc = edist(v, cur.row(static_cast<index_t>(c)), d);
-      ++pt.counters.dist_computations;
+      const value_t dc = edist(v, cur->row(static_cast<index_t>(c)));
+      ++cnt.dist_computations;
       lbi(r, c) = dc;
       if (dc < best_d) {
         best_d = dc;
         best = static_cast<cluster_t>(c);
       }
     }
-    if (best != a) ++pt.changed;
-    res.assignments[r] = best;
     ub[r] = best_d;
-    slot.add(best, v);
-  };
-
-  const auto tol_changes =
-      static_cast<std::uint64_t>(opts.tolerance * static_cast<double>(n));
-
-  for (int it = 0; it < opts.max_iters; ++it) {
-    WallTimer timer;
-    prepare();
-
-    sched.begin_chunks(n, task_size, &parts);
-    sched.run([&](int tid) {
-      auto& pt = per_thread[static_cast<std::size_t>(tid)];
-      pt.changed = 0;
-      sched::Task task;
-      while (sched.next_chunk(tid, task)) {
-        auto& slot = acc.touch(task.chunk);
-        for (index_t r = task.begin; r < task.end; ++r)
-          process_point(r, slot, pt);
-      }
-      sched.barrier().arrive_and_wait();
-      acc.fold(tid, T, sched.barrier());
-    });
-
-    std::uint64_t changed = 0;
-    for (const auto& pt : per_thread) changed += pt.changed;
-
-    res.cluster_sizes = acc.merged().finalize_into(next, cur);
-    acc.next_iteration();
-    // Steps 5-6: update bounds by centroid drift (row-local, parallel).
-    for (int c = 0; c < k; ++c)
-      drift[static_cast<std::size_t>(c)] =
-          edist(cur.row(static_cast<index_t>(c)),
-                next.row(static_cast<index_t>(c)), d);
-    sched.parallel_for(n, task_size, &parts,
-                       [&](int, const sched::Task& task) {
-                         for (index_t r = task.begin; r < task.end; ++r) {
-                           for (int c = 0; c < k; ++c) {
-                             auto& l = lbi(r, c);
-                             l = std::max(value_t(0),
-                                          l - drift[static_cast<std::size_t>(c)]);
-                           }
-                           ub[r] += drift[res.assignments[r]];
-                         }
-                       });
-    std::swap(cur, next);
-    res.iter_times.record(timer.elapsed());
-    ++res.iters;
-    if (changed <= tol_changes) {
-      res.converged = true;
-      break;
-    }
+    return best;
   }
 
-  for (const auto& pt : per_thread) res.counters += pt.counters;
-  for (index_t r = 0; r < n; ++r)
-    res.energy += K.dist_sq(data.row(r), cur.row(res.assignments[r]), d);
-  res.centroids = std::move(cur);
-  run_metrics.finish(res);
-  return res;
+  const kernels::Ops& K;
+  ConstMatrixView data;
+  index_t d;
+  int k;
+  const DenseMatrix* cur = nullptr;
+  // Elkan state: upper bound u(x), lower bounds l(x,c) — the O(nk) matrix —
+  // plus the c2c distances, per-centroid separations and the last drift.
+  std::vector<value_t> ub;
+  std::vector<value_t> lb;
+  std::vector<value_t> c2c;
+  std::vector<value_t> s_half;
+  std::vector<value_t> drift;
+  ScopedAlloc mem_lb;
+  ScopedAlloc mem_ub;
+};
+
+}  // namespace
+
+Result elkan_ti(ConstMatrixView data, const Options& opts) {
+  DenseMatrix cur = init_centroids(data, opts);
+  ElkanStep step(data, opts);
+  return detail::LloydLoop(data, opts).run(std::move(cur), step);
 }
 
 }  // namespace knor

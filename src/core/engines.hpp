@@ -19,7 +19,9 @@
 // behind kmeans) follow the identical iteration protocol — same argmin tie
 // rule (lowest index), same empty-cluster rule (keep previous centroid),
 // same convergence test (membership changes <= tolerance * n) — so tests
-// can require they produce the same clustering.
+// can require they produce the same clustering. elkan_ti and gemm_kmeans
+// (with spherical and seeded k-means, core/variants.hpp) share one copy of
+// that protocol, the full-scan skeleton in core/lloyd_loop.hpp.
 #pragma once
 
 #include "core/kmeans_types.hpp"

@@ -17,156 +17,108 @@
 // Determinism: the cache tile (--gemm-tile) is a pure performance knob.
 // Each (row, centroid) dot accumulates strictly sequentially over the
 // depth inside the kernel, panels are swept in ascending centroid order,
-// and the per-chunk accumulators stay keyed to the scheduler's 1D row-
-// chunk grid (a pure function of n and task_size) with the fixed-tree
-// fold — so centroids and assignments are bitwise invariant across tile
-// shapes, thread counts and scheduling policies (the §7/§8 contract,
-// extended by §12; pinned in conformance_test and exactness_test).
+// and the per-chunk accumulators of the full-scan skeleton
+// (core/lloyd_loop.hpp) stay keyed to the scheduler's 1D row-chunk grid
+// with the fixed-tree fold — so centroids and assignments are bitwise
+// invariant across tile shapes, thread counts and scheduling policies (the
+// §7/§8 contract, extended by §12; pinned in conformance_test and
+// exactness_test).
 #include <limits>
 #include <vector>
 
-#include "common/timer.hpp"
-#include "core/chunk_accum.hpp"
 #include "core/engines.hpp"
 #include "core/init.hpp"
 #include "core/kernels/simd.hpp"
-#include "core/local_centroids.hpp"
-#include "core/run_metrics.hpp"
-#include "numa/topology.hpp"
-#include "sched/scheduler.hpp"
+#include "core/lloyd_loop.hpp"
 
 namespace knor {
+namespace {
 
-Result gemm_kmeans(ConstMatrixView data, const Options& opts) {
-  // Hoisted once per run: no engine mutates the process-global dispatch
-  // any more, so two concurrent runs with different --simd cannot retarget
-  // each other's kernels.
-  const kernels::Ops& K = kernels::ops_for(opts.simd);
-  detail::RunMetricsScope metrics;
-  const index_t n = data.rows();
-  const index_t d = data.cols();
-  const int k = opts.k;
+struct GemmStep {
+  GemmStep(ConstMatrixView m, const Options& opts, int threads)
+      // Hoisted once per run: no engine mutates the process-global
+      // dispatch, so two concurrent runs with different --simd cannot
+      // retarget each other's kernels.
+      : K(kernels::ops_for(opts.simd)),
+        data(m),
+        d(m.cols()),
+        k(opts.k),
+        // Cache-level blocking: `tile.rows` data rows share each sweep over
+        // `tile.cols / kGemmPanelWidth` centroid panels. The 2D tile grid is
+        // (scheduler row chunk x centroid panel range); accumulation stays
+        // keyed to the 1D row-chunk slots, so the centroid cut never
+        // affects results.
+        tile(resolve_gemm_tile(opts.gemm_tile, m.rows(), opts.k)),
+        panels((static_cast<index_t>(k) + kernels::kGemmPanelWidth - 1) /
+               kernels::kGemmPanelWidth),
+        panel_step(tile.cols / kernels::kGemmPanelWidth),
+        cnorm(static_cast<std::size_t>(k)),
+        tscore(static_cast<std::size_t>(threads),
+               std::vector<value_t>(static_cast<std::size_t>(tile.rows))) {}
 
-  Result res;
-  res.assignments.assign(static_cast<std::size_t>(n), kInvalidCluster);
-  DenseMatrix cur = init_centroids(data, opts);
-  DenseMatrix next(static_cast<index_t>(k), d);
-
-  const auto topo = opts.numa_nodes > 0
-                        ? numa::Topology::simulated(opts.numa_nodes)
-                        : numa::Topology::detect();
-  const int T = opts.threads > 0 ? opts.threads : topo.num_cpus();
-  sched::Scheduler sched(T, topo, /*bind=*/opts.numa_aware && opts.numa_bind,
-                         opts.sched);
-  const index_t task_size =
-      sched::Scheduler::resolve_task_size(n, opts.task_size);
-  const auto chunks =
-      static_cast<std::size_t>(sched::Scheduler::num_chunks(n, task_size));
-  ChunkAccum<LocalCentroids> locals(chunks, k, d);
-  std::vector<std::uint64_t> tchanged(static_cast<std::size_t>(T), 0);
-  // Per-worker CPU seconds for the §1.6 makespan proxy — same convention
-  // as engine_impl (super-phase only, fold excluded), so oversubscribed
-  // containers compare engines on work, not on how many workers fit.
-  std::vector<double> tbusy(static_cast<std::size_t>(T), 0.0);
-
-  // Cache-level blocking: `tile.rows` data rows share each sweep over
-  // `tile.cols / kGemmPanelWidth` centroid panels. The 2D tile grid is
-  // (scheduler row chunk x centroid panel range); accumulation stays keyed
-  // to the 1D row-chunk slots, so the centroid cut never affects results.
-  const GemmTile tile = resolve_gemm_tile(opts.gemm_tile, n, k);
-  const index_t width = kernels::kGemmPanelWidth;
-  const index_t panels = (static_cast<index_t>(k) + width - 1) / width;
-  const index_t panel_step = tile.cols / width;
-
-  // Per-worker running argmin state for one row block (score = fused
-  // ||c||^2 - 2 x.c; the ||x||^2 term is row-constant and drops out).
-  std::vector<std::vector<value_t>> tscore(
-      static_cast<std::size_t>(T),
-      std::vector<value_t>(static_cast<std::size_t>(tile.rows)));
-  std::vector<std::vector<cluster_t>> tbest(
-      static_cast<std::size_t>(T),
-      std::vector<cluster_t>(static_cast<std::size_t>(tile.rows)));
-
-  std::vector<value_t> cnorm(static_cast<std::size_t>(k));
-  TiledMatrix ctiles;
-
-  const auto tol_changes =
-      static_cast<std::uint64_t>(opts.tolerance * static_cast<double>(n));
-
-  for (int it = 0; it < opts.max_iters; ++it) {
-    WallTimer timer;
-    const double driver_start = thread_cpu_seconds();
-    // Packing discipline: centroids move every iteration until
-    // convergence, so the panels (and the fused epilogue's ||c||^2 terms)
-    // are rebuilt here, once per iteration, on the driver thread — O(k*d),
-    // noise next to the O(n*k*d) product. A frozen-centroid caller (e.g.
-    // assignment-only serving) would pack exactly once per run.
-    ctiles.pack(cur.const_view(), width, d);
+  // Packing discipline: centroids move every iteration until convergence,
+  // so the panels (and the fused epilogue's ||c||^2 terms) are rebuilt
+  // once per iteration on the driver thread — O(k*d), noise next to the
+  // O(n*k*d) product. A frozen-centroid caller (e.g. assignment-only
+  // serving) would pack exactly once per run.
+  void begin(const DenseMatrix& cur) {
+    ctiles.pack(cur.const_view(), kernels::kGemmPanelWidth, d);
     for (int c = 0; c < k; ++c) {
       const value_t* row = cur.row(static_cast<index_t>(c));
       cnorm[static_cast<std::size_t>(c)] = K.dot(row, row, d);
     }
-    res.driver_serial_s += thread_cpu_seconds() - driver_start;
-
-    sched.begin_chunks(n, task_size, nullptr);
-    sched.run([&](int tid) {
-      const double cpu_start = thread_cpu_seconds();
-      tchanged[static_cast<std::size_t>(tid)] = 0;
-      value_t* score = tscore[static_cast<std::size_t>(tid)].data();
-      cluster_t* best = tbest[static_cast<std::size_t>(tid)].data();
-      sched::Task task;
-      while (sched.next_chunk(tid, task)) {
-        auto& acc = locals.touch(task.chunk);
-        for (index_t r0 = task.begin; r0 < task.end; r0 += tile.rows) {
-          const index_t m =
-              task.end - r0 < tile.rows ? task.end - r0 : tile.rows;
-          for (index_t i = 0; i < m; ++i) {
-            score[i] = std::numeric_limits<value_t>::infinity();
-            best[i] = 0;
-          }
-          // Streamed k-panel argmin: ascending panel ranges keep the
-          // ties->lowest-index rule; the running (best, score) state is
-          // all that persists between sweeps.
-          for (index_t p0 = 0; p0 < panels; p0 += panel_step)
-            K.gemm_argmin(data.row(r0), m, d, ctiles, p0,
-                          panels - p0 < panel_step ? panels : p0 + panel_step,
-                          cnorm.data(), best, score);
-          for (index_t i = 0; i < m; ++i) {
-            const index_t r = r0 + i;
-            if (best[i] != res.assignments[r])
-              ++tchanged[static_cast<std::size_t>(tid)];
-            res.assignments[r] = best[i];
-            acc.add(best[i], data.row(r));
-          }
-        }
-      }
-      tbusy[static_cast<std::size_t>(tid)] +=
-          thread_cpu_seconds() - cpu_start;
-      sched.barrier().arrive_and_wait();
-      locals.fold(tid, T, sched.barrier());
-    });
-    res.counters.dist_computations +=
-        static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(k);
-
-    std::uint64_t changed = 0;
-    for (const auto tc : tchanged) changed += tc;
-    res.cluster_sizes = locals.merged().finalize_into(next, cur);
-    locals.next_iteration();
-    std::swap(cur, next);
-    res.iter_times.record(timer.elapsed());
-    ++res.iters;
-    if (changed <= tol_changes) {
-      res.converged = true;
-      break;
-    }
   }
 
-  for (index_t r = 0; r < n; ++r)
-    res.energy += K.dist_sq(data.row(r), cur.row(res.assignments[r]), d);
-  res.thread_busy_s.assign(tbusy.begin(), tbusy.end());
-  res.centroids = std::move(cur);
-  metrics.finish(res);
-  return res;
+  void assign(int tid, const sched::Task& task,
+              const std::vector<cluster_t>&, cluster_t* best,
+              Counters& cnt) {
+    value_t* score = tscore[static_cast<std::size_t>(tid)].data();
+    for (index_t r0 = task.begin; r0 < task.end; r0 += tile.rows) {
+      const index_t m = task.end - r0 < tile.rows ? task.end - r0 : tile.rows;
+      cluster_t* b = best + (r0 - task.begin);
+      for (index_t i = 0; i < m; ++i) {
+        score[i] = std::numeric_limits<value_t>::infinity();
+        b[i] = 0;
+      }
+      // Streamed k-panel argmin: ascending panel ranges keep the
+      // ties->lowest-index rule; the running (best, score) state is all
+      // that persists between sweeps.
+      for (index_t p0 = 0; p0 < panels; p0 += panel_step)
+        K.gemm_argmin(data.row(r0), m, d, ctiles, p0,
+                      panels - p0 < panel_step ? panels : p0 + panel_step,
+                      cnorm.data(), b, score);
+    }
+    // The product computes every pair — that is the point.
+    cnt.dist_computations += task.size() * static_cast<std::uint64_t>(k);
+  }
+
+  void end(const DenseMatrix&, DenseMatrix&) {}
+
+  double energy(const value_t* row, const value_t* centroid) const {
+    return K.dist_sq(row, centroid, d);
+  }
+
+  const kernels::Ops& K;
+  ConstMatrixView data;
+  index_t d;
+  int k;
+  GemmTile tile;
+  index_t panels;
+  index_t panel_step;
+  std::vector<value_t> cnorm;
+  TiledMatrix ctiles;
+  // Per-worker running argmin scores for one row block (score = fused
+  // ||c||^2 - 2 x.c; the ||x||^2 term is row-constant and drops out).
+  std::vector<std::vector<value_t>> tscore;
+};
+
+}  // namespace
+
+Result gemm_kmeans(ConstMatrixView data, const Options& opts) {
+  DenseMatrix cur = init_centroids(data, opts);
+  detail::LloydLoop loop(data, opts);
+  GemmStep step(data, opts, loop.threads());
+  return loop.run(std::move(cur), step);
 }
 
 }  // namespace knor

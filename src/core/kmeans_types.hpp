@@ -122,12 +122,17 @@ struct Result {
   double energy = 0.0;
   IterStats iter_times;
   Counters counters;
-  /// Per-worker CPU seconds spent in compute phases over the whole run
-  /// (empty for engines without a worker pool). On an oversubscribed host,
-  /// max() of these approximates the run's makespan on dedicated cores.
+  /// Per-worker CPU seconds spent in compute phases over the whole run,
+  /// one entry per worker; empty for the engines that do not record it
+  /// (lloyd_serial, lloyd_locked, minibatch, knors). On an oversubscribed
+  /// host, max() of these approximates the run's makespan on dedicated
+  /// cores.
   std::vector<double> thread_busy_s;
-  /// CPU seconds of inherently serial driver-side work (shuffle, master
-  /// reductions); 0 for knor engines, nonzero for framework stand-ins.
+  /// CPU seconds of inherently serial driver-side work: the framework
+  /// stand-ins' shuffle and master reductions, and the full-scan engines'
+  /// per-iteration set-up before each super-phase (GEMM's centroid pack,
+  /// Elkan's centroid-to-centroid distances, seeded's pack). 0 for knori,
+  /// knors and knord.
   double driver_serial_s = 0.0;
   /// This run's slice of the global obs registry (snapshot diff taken
   /// around the engine run): cache/pruning/steal counters and phase

@@ -4,16 +4,11 @@
 #include <stdexcept>
 
 #include "common/prng.hpp"
-#include "common/timer.hpp"
-#include "core/chunk_accum.hpp"
 #include "core/init.hpp"
 #include "core/kernels/simd.hpp"
-#include "core/run_metrics.hpp"
+#include "core/lloyd_loop.hpp"
 #include "core/local_centroids.hpp"
 #include "core/variants.hpp"
-#include "numa/partitioner.hpp"
-#include "numa/topology.hpp"
-#include "sched/scheduler.hpp"
 
 namespace knor {
 namespace {
@@ -128,94 +123,48 @@ DenseMatrix seeded_init(ConstMatrixView data, const Options& opts,
   return centroids;
 }
 
+// Lloyd's nearest-centroid rule, except that labeled points keep their
+// label forever.
+struct SeededStep {
+  const kernels::Ops& K;
+  ConstMatrixView data;
+  int k;
+  const std::vector<cluster_t>& labels;
+  kernels::CentroidPack pack;
+
+  void begin(const DenseMatrix& cur) { pack.pack(cur); }
+
+  void assign(int, const sched::Task& task, const std::vector<cluster_t>&,
+              cluster_t* best, Counters& cnt) {
+    for (index_t r = task.begin; r < task.end; ++r)
+      best[r - task.begin] =
+          labels[r] != kInvalidCluster
+              ? labels[r]
+              : K.nearest_blocked(data.row(r), pack, nullptr);
+    cnt.dist_computations += task.size() * static_cast<std::uint64_t>(k);
+  }
+
+  void end(const DenseMatrix&, DenseMatrix&) {}
+
+  double energy(const value_t* row, const value_t* centroid) const {
+    return K.dist_sq(row, centroid, data.cols());
+  }
+};
+
 }  // namespace
 
 Result seeded_kmeans(ConstMatrixView data, const Options& opts,
                      const std::vector<cluster_t>& labels) {
   if (data.empty()) throw std::invalid_argument("seeded_kmeans: empty dataset");
-  const kernels::Ops& K = kernels::ops_for(opts.simd);
-  knor::detail::RunMetricsScope run_metrics;
   if (labels.size() != data.rows())
     throw std::invalid_argument("seeded_kmeans: labels size != n");
-  const index_t n = data.rows();
-  const index_t d = data.cols();
-  const int k = opts.k;
-  if (k < 1) throw std::invalid_argument("seeded_kmeans: k < 1");
+  if (opts.k < 1) throw std::invalid_argument("seeded_kmeans: k < 1");
 
   DenseMatrix cur = opts.init == Init::kProvided
                         ? init_centroids(data, opts)
                         : seeded_init(data, opts, labels);
-  DenseMatrix next(static_cast<index_t>(k), d);
-  kernels::CentroidPack pack;
-
-  const auto topo = opts.numa_nodes > 0
-                        ? numa::Topology::simulated(opts.numa_nodes)
-                        : numa::Topology::detect();
-  const int T = opts.threads > 0 ? opts.threads : topo.num_cpus();
-  numa::Partitioner parts(n, T, topo);
-  sched::Scheduler sched(T, topo, /*bind=*/opts.numa_aware && opts.numa_bind,
-                         opts.sched);
-  const index_t task_size =
-      sched::Scheduler::resolve_task_size(n, opts.task_size);
-  const auto chunks =
-      static_cast<std::size_t>(sched::Scheduler::num_chunks(n, task_size));
-
-  Result res;
-  res.assignments.assign(static_cast<std::size_t>(n), kInvalidCluster);
-  // Per-chunk accumulators + fixed-tree fold: deterministic under stealing
-  // and across thread counts (DESIGN.md §7).
-  ChunkAccum<LocalCentroids> locals(chunks, k, d);
-  std::vector<std::uint64_t> tchanged(static_cast<std::size_t>(T));
-
-  const auto tol_changes =
-      static_cast<std::uint64_t>(opts.tolerance * static_cast<double>(n));
-
-  for (int it = 0; it < opts.max_iters; ++it) {
-    WallTimer timer;
-    pack.pack(cur);
-    sched.begin_chunks(n, task_size, &parts);
-    sched.run([&](int tid) {
-      tchanged[static_cast<std::size_t>(tid)] = 0;
-      sched::Task task;
-      while (sched.next_chunk(tid, task)) {
-        auto& acc = locals.touch(task.chunk);
-        for (index_t r = task.begin; r < task.end; ++r) {
-          // Constraint: labeled points keep their label forever.
-          const cluster_t best =
-              labels[r] != kInvalidCluster
-                  ? labels[r]
-                  : K.nearest_blocked(data.row(r), pack, nullptr);
-          if (best != res.assignments[r])
-            ++tchanged[static_cast<std::size_t>(tid)];
-          res.assignments[r] = best;
-          acc.add(best, data.row(r));
-        }
-      }
-      sched.barrier().arrive_and_wait();
-      locals.fold(tid, T, sched.barrier());
-    });
-    res.counters.dist_computations +=
-        static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(k);
-
-    res.cluster_sizes = locals.merged().finalize_into(next, cur);
-    locals.next_iteration();
-    std::swap(cur, next);
-
-    std::uint64_t changed = 0;
-    for (auto c : tchanged) changed += c;
-    res.iter_times.record(timer.elapsed());
-    ++res.iters;
-    if (changed <= tol_changes) {
-      res.converged = true;
-      break;
-    }
-  }
-
-  for (index_t r = 0; r < n; ++r)
-    res.energy += K.dist_sq(data.row(r), cur.row(res.assignments[r]), d);
-  res.centroids = std::move(cur);
-  run_metrics.finish(res);
-  return res;
+  SeededStep step{kernels::ops_for(opts.simd), data, opts.k, labels, {}};
+  return detail::LloydLoop(data, opts).run(std::move(cur), step);
 }
 
 }  // namespace knor

@@ -2,16 +2,10 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "common/timer.hpp"
-#include "core/chunk_accum.hpp"
 #include "core/init.hpp"
 #include "core/kernels/simd.hpp"
-#include "core/run_metrics.hpp"
-#include "core/local_centroids.hpp"
+#include "core/lloyd_loop.hpp"
 #include "core/variants.hpp"
-#include "numa/partitioner.hpp"
-#include "numa/topology.hpp"
-#include "sched/scheduler.hpp"
 
 namespace knor {
 namespace {
@@ -48,103 +42,64 @@ void normalize_centroid(value_t* c, const value_t* prev, index_t d) {
   for (index_t j = 0; j < d; ++j) c[j] *= inv;
 }
 
+// Assigns by largest cosine; the means leave the sphere, so end() puts them
+// back.
+struct SphericalStep {
+  const kernels::Ops& K;
+  ConstMatrixView unit;
+  int k;
+  const DenseMatrix* cur = nullptr;
+
+  void begin(const DenseMatrix& centroids) { cur = &centroids; }
+
+  void assign(int, const sched::Task& task, const std::vector<cluster_t>&,
+              cluster_t* best, Counters& cnt) {
+    const index_t d = unit.cols();
+    for (index_t r = task.begin; r < task.end; ++r) {
+      const value_t* v = unit.row(r);
+      cluster_t b = 0;
+      value_t best_sim = K.dot(v, cur->row(0), d);
+      for (int c = 1; c < k; ++c) {
+        const value_t sim = K.dot(v, cur->row(static_cast<index_t>(c)), d);
+        if (sim > best_sim) {
+          best_sim = sim;
+          b = static_cast<cluster_t>(c);
+        }
+      }
+      best[r - task.begin] = b;
+    }
+    cnt.dist_computations += task.size() * static_cast<std::uint64_t>(k);
+  }
+
+  void end(const DenseMatrix& prev, DenseMatrix& next) {
+    for (int c = 0; c < k; ++c)
+      normalize_centroid(next.row(static_cast<index_t>(c)),
+                         prev.row(static_cast<index_t>(c)), unit.cols());
+  }
+
+  double energy(const value_t* row, const value_t* centroid) const {
+    return 1.0 - K.dot(row, centroid, unit.cols());
+  }
+};
+
 }  // namespace
 
 Result spherical_kmeans(ConstMatrixView data, const Options& opts) {
   if (data.empty())
     throw std::invalid_argument("spherical_kmeans: empty dataset");
-  const kernels::Ops& K = kernels::ops_for(opts.simd);
-  knor::detail::RunMetricsScope run_metrics;
-  const index_t n = data.rows();
   const index_t d = data.cols();
-  const int k = opts.k;
 
   // Work on a normalized copy (rows on the unit sphere).
-  DenseMatrix unit(n, d);
+  DenseMatrix unit(data.rows(), d);
   std::memcpy(unit.data(), data.data(), unit.size() * sizeof(value_t));
   normalize_rows(unit);
 
   DenseMatrix cur = init_centroids(unit.const_view(), opts);
   for (index_t c = 0; c < cur.rows(); ++c)
     normalize_centroid(cur.row(c), cur.row(c), d);
-  DenseMatrix next(static_cast<index_t>(k), d);
 
-  const auto topo = opts.numa_nodes > 0
-                        ? numa::Topology::simulated(opts.numa_nodes)
-                        : numa::Topology::detect();
-  const int T = opts.threads > 0 ? opts.threads : topo.num_cpus();
-  numa::Partitioner parts(n, T, topo);
-  sched::Scheduler sched(T, topo, /*bind=*/opts.numa_aware && opts.numa_bind,
-                         opts.sched);
-  const index_t task_size =
-      sched::Scheduler::resolve_task_size(n, opts.task_size);
-  const auto chunks =
-      static_cast<std::size_t>(sched::Scheduler::num_chunks(n, task_size));
-
-  Result res;
-  res.assignments.assign(static_cast<std::size_t>(n), kInvalidCluster);
-  // Per-chunk accumulators folded in a fixed tree: bitwise-deterministic
-  // centroids under work stealing and across thread counts, exactly like
-  // the main engine (DESIGN.md §7).
-  ChunkAccum<LocalCentroids> locals(chunks, k, d);
-  std::vector<std::uint64_t> tchanged(static_cast<std::size_t>(T));
-
-  const auto tol_changes =
-      static_cast<std::uint64_t>(opts.tolerance * static_cast<double>(n));
-
-  for (int it = 0; it < opts.max_iters; ++it) {
-    WallTimer timer;
-    sched.begin_chunks(n, task_size, &parts);
-    sched.run([&](int tid) {
-      tchanged[static_cast<std::size_t>(tid)] = 0;
-      sched::Task task;
-      while (sched.next_chunk(tid, task)) {
-        auto& acc = locals.touch(task.chunk);
-        for (index_t r = task.begin; r < task.end; ++r) {
-          const value_t* v = unit.row(r);
-          cluster_t best = 0;
-          value_t best_sim = K.dot(v, cur.row(0), d);
-          for (int c = 1; c < k; ++c) {
-            const value_t sim = K.dot(v, cur.row(static_cast<index_t>(c)), d);
-            if (sim > best_sim) {
-              best_sim = sim;
-              best = static_cast<cluster_t>(c);
-            }
-          }
-          if (best != res.assignments[r])
-            ++tchanged[static_cast<std::size_t>(tid)];
-          res.assignments[r] = best;
-          acc.add(best, v);
-        }
-      }
-      sched.barrier().arrive_and_wait();
-      locals.fold(tid, T, sched.barrier());
-    });
-    res.counters.dist_computations +=
-        static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(k);
-
-    res.cluster_sizes = locals.merged().finalize_into(next, cur);
-    locals.next_iteration();
-    for (int c = 0; c < k; ++c)
-      normalize_centroid(next.row(static_cast<index_t>(c)),
-                         cur.row(static_cast<index_t>(c)), d);
-    std::swap(cur, next);
-
-    std::uint64_t changed = 0;
-    for (auto c : tchanged) changed += c;
-    res.iter_times.record(timer.elapsed());
-    ++res.iters;
-    if (changed <= tol_changes) {
-      res.converged = true;
-      break;
-    }
-  }
-
-  for (index_t r = 0; r < n; ++r)
-    res.energy += 1.0 - K.dot(unit.row(r), cur.row(res.assignments[r]), d);
-  res.centroids = std::move(cur);
-  run_metrics.finish(res);
-  return res;
+  SphericalStep step{kernels::ops_for(opts.simd), unit.const_view(), opts.k};
+  return detail::LloydLoop(unit.const_view(), opts).run(std::move(cur), step);
 }
 
 }  // namespace knor

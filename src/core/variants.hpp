@@ -12,8 +12,10 @@ namespace knor {
 /// Input rows are L2-normalized internally (zero rows are rejected);
 /// centroids are re-normalized means. Result::energy is the total cosine
 /// *dissimilarity*  sum(1 - cos(v, c_assign)).
-/// Runs on the parallel pool with per-thread accumulators (||Lloyd's
-/// structure), supports kForgy / kKmeansPP / kRandom / kProvided init.
+/// Runs on the full-scan skeleton (core/lloyd_loop.hpp): per-chunk
+/// accumulators with a fixed-tree fold, so results are bitwise independent
+/// of the thread count. Supports kForgy / kKmeansPP / kRandom / kProvided
+/// init.
 Result spherical_kmeans(ConstMatrixView data, const Options& opts);
 
 /// Semi-supervised (seeded) k-means — the Yoder & Priebe "ss-kmeans++"

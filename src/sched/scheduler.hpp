@@ -17,10 +17,9 @@
 //     fixed chunk count (kAutoChunkTarget), clamped to the paper's 8192-row
 //     default; explicit sizes (the abl_task_size knob) are honored but
 //     floored so the grid never exceeds kMaxChunks accumulator slots.
-//   * Reusable parallel APIs: run() (one call per worker), parallel_for()
-//     (chunked + stolen), and reduce_by_node() (merge per-thread partials
-//     node-by-node in node order — local merges first, then one ordered
-//     cross-node fold).
+//   * Reusable parallel APIs: run() (one call per worker) and
+//     parallel_for() (chunked + stolen). Reductions are per chunk, folded
+//     with sched::tree_reduce_fixed (core/chunk_accum.hpp).
 //
 // Scheduling policies compared by the Figure 5 bench:
 //   * kNumaAware — per-node deques + hierarchical stealing (knor).
@@ -138,28 +137,6 @@ class Scheduler {
   void parallel_for(index_t n, index_t task_size,
                     const numa::Partitioner* parts,
                     const std::function<void(int, const Task&)>& body);
-
-  /// In-worker: merge per-thread partials into slot 0, node by node —
-  /// each node's threads tree-merge into the node's lead thread (lowest
-  /// tid), then thread 0 folds the node leads in ascending node order.
-  /// The merge tree is a pure function of (threads, nodes): deterministic
-  /// for a fixed configuration. Every worker must call it (it barriers);
-  /// merge(dst_tid, src_tid) combines thread src's partial into dst's.
-  template <typename MergeFn>
-  void reduce_by_node(int tid, MergeFn&& merge) {
-    const int T = threads();
-    const int N = topo_.num_nodes();
-    const int local = tid / N;  // index among this node's threads
-    const int per_node_max = (T + N - 1) / N;
-    for (int stride = 1; stride < per_node_max; stride *= 2) {
-      if (local % (2 * stride) == 0 && tid + stride * N < T)
-        merge(tid, tid + stride * N);
-      barrier_->arrive_and_wait();
-    }
-    if (tid == 0)
-      for (int lead = 1; lead < std::min(N, T); ++lead) merge(0, lead);
-    barrier_->arrive_and_wait();
-  }
 
   /// Per-thread acquisition statistics since the last reset_stats().
   StealStats stats(int thread) const;

@@ -489,17 +489,8 @@ Result kmeans(const std::string& path, const Options& opts,
       if (deltas.dirty(c)) deltas.slot(c).apply_to(sums.data(), counts.data());
     deltas.next_iteration();
     std::memcpy(prev.data(), cur.data(), cur.size() * sizeof(value_t));
-    res.cluster_sizes.assign(static_cast<std::size_t>(k), 0);
-    for (int c = 0; c < k; ++c) {
-      const std::int64_t count = counts[static_cast<std::size_t>(c)];
-      res.cluster_sizes[static_cast<std::size_t>(c)] =
-          count > 0 ? static_cast<index_t>(count) : 0;
-      if (count <= 0) continue;  // empty cluster: keep previous centroid
-      value_t* dst = cur.row(static_cast<index_t>(c));
-      const value_t* s = sums.row(static_cast<index_t>(c));
-      const value_t inv = static_cast<value_t>(1.0) / static_cast<value_t>(count);
-      for (index_t j = 0; j < d; ++j) dst[j] = s[j] * inv;
-    }
+    res.cluster_sizes =
+        finalize_sums(sums.data(), counts.data(), k, d, cur, prev);
     if (opts.prune) mti.prepare(prev, cur, K);
 
     std::uint64_t changed = 0;

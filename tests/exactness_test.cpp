@@ -7,10 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "core/engines.hpp"
 #include "core/knori.hpp"
+#include "core/variants.hpp"
 #include "data/generator.hpp"
 
 namespace knor {
@@ -294,6 +298,119 @@ TEST(Invariants, SeedChangesInitButNotValidity) {
       any_different = true;
   }
   (void)any_different;  // different seeds may or may not reach local optima
+}
+
+// --- Bit pins for the full-scan engines -----------------------------------
+// gemm, Elkan, spherical and seeded k-means share one iteration skeleton
+// (core/lloyd_loop.hpp). These values were recorded from each engine's own
+// hand-written loop before the move, under the scalar ISA; every engine
+// must reproduce them bit for bit at T=1 and T=3. The hash covers the
+// assignments, the centroid bytes, the energy bytes and the cluster sizes.
+
+std::uint64_t fnv1a(std::uint64_t h, const void* p, std::size_t bytes) {
+  const auto* b = static_cast<const unsigned char*>(p);
+  for (std::size_t i = 0; i < bytes; ++i) {
+    h ^= b[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+std::uint64_t result_hash(const Result& r) {
+  std::uint64_t h = 1469598103934665603ull;
+  h = fnv1a(h, r.assignments.data(),
+            r.assignments.size() * sizeof(cluster_t));
+  h = fnv1a(h, r.centroids.data(), r.centroids.size() * sizeof(value_t));
+  h = fnv1a(h, &r.energy, sizeof r.energy);
+  return fnv1a(h, r.cluster_sizes.data(),
+               r.cluster_sizes.size() * sizeof(index_t));
+}
+
+struct BitPin {
+  const char* engine;  ///< gemm | elkan | spherical | seeded
+  bool hard;           ///< false: natural data, k=5; true: the k=24 set
+  std::size_t iters;
+  bool converged;
+  std::uint64_t dist, clause1, clause2, clause3;
+  std::uint64_t hash;
+};
+
+const BitPin kFullScanPins[] = {
+    // engine, hard, iters, converged, dist, clause1, clause2, clause3, hash
+    {"gemm", false, 37, true, 555000, 0, 0, 0, 0xe2435a4cbb5ccb48ull},
+    {"elkan", false, 37, true, 59495, 40332, 181807, 56768,
+     0xe2435a4cbb5ccb48ull},
+    {"spherical", false, 44, true, 660000, 0, 0, 0, 0x802c18d920da5e7full},
+    {"seeded", false, 4, true, 60000, 0, 0, 0, 0x9cf29281384a78f5ull},
+    {"gemm", true, 68, true, 6528000, 0, 0, 0, 0x395314d670b3b90ull},
+    {"elkan", true, 68, true, 189940, 49540, 4222768, 731065,
+     0x395314d670b3b90ull},
+    {"spherical", true, 46, true, 4416000, 0, 0, 0, 0xdad85b60af2efa4dull},
+    {"seeded", true, 8, true, 768000, 0, 0, 0, 0x918f8eb9d698fc60ull},
+};
+
+TEST(FullScanBitPins, EnginesReproduceRecordedBits) {
+  data::GeneratorSpec natural;
+  natural.n = 3000;
+  natural.d = 8;
+  natural.true_clusters = 5;
+  natural.seed = 31;
+  // Overlapping components and position-banded rows: many iterations,
+  // steady Elkan pruning, and chunks of very different content.
+  data::GeneratorSpec hard;
+  hard.n = 4000;
+  hard.d = 10;
+  hard.true_clusters = 24;
+  hard.separation = 2.5;
+  hard.locality = 0.5;
+  hard.seed = 37;
+  const DenseMatrix nat_m = data::generate(natural);
+  const DenseMatrix hard_m = data::generate(hard);
+
+  for (const BitPin& pin : kFullScanPins) {
+    const DenseMatrix& m = pin.hard ? hard_m : nat_m;
+    const int k = pin.hard ? 24 : 5;
+    // Seeded gets every 9th row labelled, round-robin over the clusters —
+    // labels the nearest-centroid rule would mostly overrule.
+    std::vector<cluster_t> labels(m.rows(), kInvalidCluster);
+    for (index_t r = 0; r < m.rows(); r += 9)
+      labels[r] = static_cast<cluster_t>((r / 9) % static_cast<index_t>(k));
+    for (const int threads : {1, 3}) {
+      Options opts;
+      opts.k = k;
+      opts.threads = threads;
+      opts.max_iters = 100;
+      opts.seed = 5;
+      opts.simd = kernels::Isa::kScalar;
+      opts.numa_nodes = 2;
+      const std::string engine = pin.engine;
+      const Result res =
+          engine == "gemm"        ? gemm_kmeans(m.const_view(), opts)
+          : engine == "elkan"     ? elkan_ti(m.const_view(), opts)
+          : engine == "spherical" ? spherical_kmeans(m.const_view(), opts)
+                                  : seeded_kmeans(m.const_view(), opts, labels);
+      char actual[256];
+      std::snprintf(actual, sizeof actual,
+                    "{\"%s\", %s, %zu, %s, %llu, %llu, %llu, %llu, 0x%llxull}",
+                    pin.engine, pin.hard ? "true" : "false", res.iters,
+                    res.converged ? "true" : "false",
+                    static_cast<unsigned long long>(
+                        res.counters.dist_computations),
+                    static_cast<unsigned long long>(res.counters.clause1_skips),
+                    static_cast<unsigned long long>(res.counters.clause2_skips),
+                    static_cast<unsigned long long>(res.counters.clause3_skips),
+                    static_cast<unsigned long long>(result_hash(res)));
+      SCOPED_TRACE(std::string("T=") + std::to_string(threads) +
+                   ", actual " + actual);
+      EXPECT_EQ(res.iters, pin.iters);
+      EXPECT_EQ(res.converged, pin.converged);
+      EXPECT_EQ(res.counters.dist_computations, pin.dist);
+      EXPECT_EQ(res.counters.clause1_skips, pin.clause1);
+      EXPECT_EQ(res.counters.clause2_skips, pin.clause2);
+      EXPECT_EQ(res.counters.clause3_skips, pin.clause3);
+      EXPECT_EQ(result_hash(res), pin.hash);
+    }
+  }
 }
 
 }  // namespace

@@ -292,19 +292,31 @@ TEST(ObsCounterParity, MetricsAgreeWithResultCountersForEveryEngine) {
   opts.max_iters = 10;
   opts.seed = 23;
 
+  std::vector<cluster_t> labels(m.rows(), kInvalidCluster);
+  for (index_t r = 0; r < m.rows(); r += 5)
+    labels[r] = static_cast<cluster_t>((r / 5) % 4);
+
   struct Case {
     const char* name;
     std::function<Result()> run;
+    bool full_scan;  ///< runs on the full-scan skeleton (core/lloyd_loop.hpp)
   };
   const std::vector<Case> cases = {
-      {"knori", [&] { return kmeans(m.const_view(), opts); }},
-      {"gemm", [&] { return gemm_kmeans(m.const_view(), opts); }},
-      {"serial", [&] { return lloyd_serial(m.const_view(), opts); }},
-      {"locked", [&] { return lloyd_locked(m.const_view(), opts); }},
-      {"elkan", [&] { return elkan_ti(m.const_view(), opts); }},
+      {"knori", [&] { return kmeans(m.const_view(), opts); }, false},
+      {"gemm", [&] { return gemm_kmeans(m.const_view(), opts); }, true},
+      {"serial", [&] { return lloyd_serial(m.const_view(), opts); }, false},
+      {"locked", [&] { return lloyd_locked(m.const_view(), opts); }, false},
+      {"elkan", [&] { return elkan_ti(m.const_view(), opts); }, true},
+      {"spherical", [&] { return spherical_kmeans(m.const_view(), opts); },
+       true},
+      {"seeded", [&] { return seeded_kmeans(m.const_view(), opts, labels); },
+       true},
       {"minibatch",
-       [&] { return minibatch(m.const_view(), opts, MinibatchOptions{}); }},
+       [&] { return minibatch(m.const_view(), opts, MinibatchOptions{}); },
+       false},
   };
+  const auto chunks = static_cast<std::size_t>(sched::Scheduler::num_chunks(
+      m.rows(), sched::Scheduler::resolve_task_size(m.rows(), opts.task_size)));
   for (const auto& c : cases) {
     const Result res = c.run();
     ASSERT_FALSE(res.metrics.empty()) << c.name;
@@ -322,6 +334,18 @@ TEST(ObsCounterParity, MetricsAgreeWithResultCountersForEveryEngine) {
               static_cast<std::int64_t>(res.counters.tasks_own))
         << c.name;
     EXPECT_GT(res.counters.dist_computations, 0u) << c.name;
+    if (!c.full_scan) continue;
+    // The skeleton's phases, per-worker busy time and claim counts: one
+    // claim per chunk per iteration, the final energy pass claims none.
+    for (const char* phase : {"phase.assign", "phase.update", "phase.energy"})
+      EXPECT_NE(res.metrics.find(phase), nullptr) << c.name << " " << phase;
+    EXPECT_EQ(res.thread_busy_s.size(),
+              static_cast<std::size_t>(opts.threads))
+        << c.name;
+    EXPECT_EQ(res.counters.tasks_own + res.counters.tasks_same_node +
+                  res.counters.tasks_remote_node,
+              res.iters * chunks)
+        << c.name;
   }
 }
 

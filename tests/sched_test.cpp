@@ -1,7 +1,7 @@
 // Unit tests for the scheduler layer: barrier, the NUMA-partitioned
 // work-stealing Scheduler (per-node deques, hierarchical steal order,
-// adaptive task sizing), the fixed-tree reduction, reduce_by_node, and the
-// NodeDistance victim ordering.
+// adaptive task sizing), the fixed-tree reduction, and the NodeDistance
+// victim ordering.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -311,25 +311,6 @@ TEST(TreeReduceFixed, AssociationDependsOnlyOnSlotCount) {
     else
       EXPECT_EQ(reference[0], slots[0]) << "T=" << T;  // bitwise
   }
-}
-
-TEST(ReduceByNode, NodeOrderedAssociation) {
-  // 5 threads over 2 nodes (node0: t0,t2,t4; node1: t1,t3). The merge must
-  // fold each node locally first, then the node leads in node order:
-  // ((t0+t2)+t4) + (t1+t3).
-  const int T = 5;
-  Scheduler sched(T, test_topo());
-  std::vector<std::string> slots(T);
-  for (int t = 0; t < T; ++t) slots[static_cast<std::size_t>(t)] =
-      "t" + std::to_string(t);
-  sched.run([&](int tid) {
-    sched.reduce_by_node(tid, [&](int dst, int src) {
-      slots[static_cast<std::size_t>(dst)] =
-          "(" + slots[static_cast<std::size_t>(dst)] + "+" +
-          slots[static_cast<std::size_t>(src)] + ")";
-    });
-  });
-  EXPECT_EQ(slots[0], "(((t0+t2)+t4)+(t1+t3))");
 }
 
 TEST(Scheduler, ParallelForBodyRunsOncePerChunk) {
