@@ -135,7 +135,7 @@ void run(Context& ctx) {
     DenseMatrix prev = cur;
     MtiState mti(1000, k);
     const TimingAgg ns = per_op_ns(ctx, base / 100, [&] {
-      mti.prepare(prev, cur);
+      mti.prepare(prev, cur, kernels::ops());
     });
     ctx.row().label("kernel", "mti_prepare")
         .label("arg", "k=" + std::to_string(k))

@@ -43,6 +43,10 @@ struct ElkanStep {
   value_t edist(const value_t* a, const value_t* b) const {
     return std::sqrt(K.dist_sq(a, b, d));
   }
+  /// Squared distance from row `v` to centroid c, for the argmin.
+  value_t dist_sq(const value_t* v, int c) const {
+    return K.dist_sq(v, cur->row(static_cast<index_t>(c)), d);
+  }
   value_t& lbi(index_t r, int c) {
     return lb[static_cast<std::size_t>(r) * k + c];
   }
@@ -88,21 +92,20 @@ struct ElkanStep {
   cluster_t assign_point(index_t r, cluster_t a, Counters& cnt) {
     const value_t* v = data.row(r);
     if (a == kInvalidCluster) {
-      // First iteration: full scan seeds both bound structures.
-      value_t best_d = edist(v, cur->row(0));
-      ++cnt.dist_computations;
-      lbi(r, 0) = best_d;
+      // First iteration: full scan seeds both bound structures. The argmin
+      // is the full scan's least (dist_sq, index); the bounds are sqrts.
+      value_t best_sq = std::numeric_limits<value_t>::infinity();
       cluster_t best = 0;
-      for (int c = 1; c < k; ++c) {
-        const value_t dc = edist(v, cur->row(static_cast<index_t>(c)));
+      for (int c = 0; c < k; ++c) {
+        const value_t dc_sq = dist_sq(v, c);
         ++cnt.dist_computations;
-        lbi(r, c) = dc;
-        if (dc < best_d) {
-          best_d = dc;
+        lbi(r, c) = std::sqrt(dc_sq);
+        if (dc_sq < best_sq) {
+          best_sq = dc_sq;
           best = static_cast<cluster_t>(c);
         }
       }
-      ub[r] = best_d;
+      ub[r] = lbi(r, best);
       return best;
     }
 
@@ -113,44 +116,50 @@ struct ElkanStep {
     }
     ub[r] += drift[a];
 
-    // Elkan step 2: skip the whole point when u(x) <= s(c(x)).
-    if (ub[r] <= s_half[a]) {
+    // Elkan step 2: skip the whole point when u(x) < s(c(x)). Every clause
+    // skips only on a strict bound, which rules out a tie as well as a win
+    // (DESIGN.md §3).
+    if (ub[r] < s_half[a]) {
       ++cnt.clause1_skips;
       return a;
     }
     bool tight = false;
     value_t best_d = ub[r];
+    value_t best_sq = 0;  // set when the bound is tightened
     cluster_t best = a;
     for (int c = 0; c < k; ++c) {
       if (static_cast<cluster_t>(c) == best) continue;
       // Step 3 conditions: candidate must beat both its lower bound and
       // the inter-centroid separation.
-      if (best_d <= lbi(r, c)) {
+      if (best_d < lbi(r, c)) {
         ++cnt.clause2_skips;
         continue;
       }
-      if (best_d <= value_t(0.5) *
-                        c2c[static_cast<std::size_t>(best) * k + c]) {
+      if (best_d < value_t(0.5) *
+                       c2c[static_cast<std::size_t>(best) * k + c]) {
         ++cnt.clause3_skips;
         continue;
       }
       if (!tight) {
         // 3a: tighten u(x) = d(x, c(x)).
-        best_d = edist(v, cur->row(best));
+        best_sq = dist_sq(v, best);
+        best_d = std::sqrt(best_sq);
         ++cnt.dist_computations;
         lbi(r, best) = best_d;
         tight = true;
-        if (best_d <= lbi(r, c) ||
-            best_d <= value_t(0.5) *
-                          c2c[static_cast<std::size_t>(best) * k + c])
+        if (best_d < lbi(r, c) ||
+            best_d < value_t(0.5) *
+                         c2c[static_cast<std::size_t>(best) * k + c])
           continue;
       }
-      // 3b: compute d(x, c).
-      const value_t dc = edist(v, cur->row(static_cast<index_t>(c)));
+      // 3b: compute d(x, c); the least (dist_sq, index) wins.
+      const value_t dc_sq = dist_sq(v, c);
       ++cnt.dist_computations;
-      lbi(r, c) = dc;
-      if (dc < best_d) {
-        best_d = dc;
+      lbi(r, c) = std::sqrt(dc_sq);
+      if (dc_sq <= best_sq &&
+          (dc_sq < best_sq || static_cast<cluster_t>(c) < best)) {
+        best_sq = dc_sq;
+        best_d = lbi(r, c);
         best = static_cast<cluster_t>(c);
       }
     }

@@ -231,47 +231,9 @@ Result run_parallel_lloyd(const Data& data, index_t n, index_t d,
         ++cnt.clause1_skips;
         return;
       }
-      // Gather (DESIGN.md §3): clause 2 reads only the loosened bound and
-      // c2c(a, ·), never a distance, so it filters the candidates before
-      // any is evaluated: `a` first, then the survivors in ascending order.
-      cluster_t* cand = pt.cand.data();
-      value_t* cand_sq = pt.cand_sq.data();
-      int m = 0;
-      cand[m++] = a;
-      for (int c = 0; c < k; ++c) {
-        if (static_cast<cluster_t>(c) == a) continue;
-        if (loosened <= value_t(0.5) * mti.c2c(a, static_cast<cluster_t>(c))) {
-          ++cnt.clause2_skips;
-          continue;
-        }
-        cand[m++] = static_cast<cluster_t>(c);
-      }
-      // Evaluate: one blocked kernel call for the whole list, bitwise
-      // equal to one dist_sq per candidate (kernels/simd.hpp contract).
-      K.dist_sq_list(v, pack, cand, m, cand_sq);
-      // Replay the sequential scan over the buffer. Clause 3 prelude: the
-      // tightened bound is the first distance.
-      value_t best_d = std::sqrt(cand_sq[0]);
-      value_t best_d_sq = best_d * best_d;
-      ++cnt.dist_computations;
-      cluster_t best = a;
-      for (int i = 1; i < m; ++i) {
-        const cluster_t c = cand[i];
-        // Clause 3: tightened bound vs. the current best's separation.
-        if (best_d <= value_t(0.5) * mti.c2c(best, c)) {
-          ++cnt.clause3_skips;
-          continue;
-        }
-        // Compare in squared form; sqrt only when the best improves (the
-        // triangle-inequality bookkeeping needs true distances, but the
-        // argmin does not).
-        ++cnt.dist_computations;
-        if (cand_sq[i] < best_d_sq) {
-          best_d_sq = cand_sq[i];
-          best_d = std::sqrt(cand_sq[i]);
-          best = c;
-        }
-      }
+      // Clauses 2 and 3 and the argmin: MTI's one pruned-row routine.
+      const auto [best, best_d] = mti.nearest_pruned(
+          v, a, loosened, pack, K, pt.cand.data(), pt.cand_sq.data(), cnt);
       if (best != a) {
         ++pt.changed;
         auto& delta = deltas.touch(chunk);

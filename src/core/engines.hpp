@@ -17,11 +17,14 @@
 //
 // All exact engines (serial, locked, elkan, gemm, and the parallel engine
 // behind kmeans) follow the identical iteration protocol — same argmin tie
-// rule (lowest index), same empty-cluster rule (keep previous centroid),
-// same convergence test (membership changes <= tolerance * n) — so tests
-// can require they produce the same clustering. elkan_ti and gemm_kmeans
-// (with spherical and seeded k-means, core/variants.hpp) share one copy of
-// that protocol, the full-scan skeleton in core/lloyd_loop.hpp.
+// rule (the least (dist_sq, index); the pruned engines keep it by skipping
+// a candidate only on a strict bound, DESIGN.md §3, and gemm's score can
+// split a near-tie differently, §12), same empty-cluster rule (keep
+// previous centroid), same convergence test (membership changes
+// <= tolerance * n) — so tests can require they produce the same
+// clustering. elkan_ti and gemm_kmeans (with spherical and seeded k-means,
+// core/variants.hpp) share one copy of that protocol, the full-scan
+// skeleton in core/lloyd_loop.hpp.
 #pragma once
 
 #include "core/kmeans_types.hpp"

@@ -17,10 +17,6 @@ MtiState::MtiState(index_t n, int k)
     ub_[i] = std::numeric_limits<value_t>::infinity();
 }
 
-void MtiState::prepare(const DenseMatrix& prev, const DenseMatrix& cur) {
-  prepare(prev, cur, kernels::ops());
-}
-
 void MtiState::prepare(const DenseMatrix& prev, const DenseMatrix& cur,
                        const kernels::Ops& K) {
   const index_t d = cur.cols();

@@ -282,49 +282,13 @@ Result kmeans(const std::string& path, const Options& opts,
     cluster_t best;
     value_t best_d;
     if (opts.prune && a != kInvalidCluster) {
-      // Gather (DESIGN.md §3): clause 2 reads no distance, so its survivors
-      // are listed before any is evaluated: `a` first, then ascending.
+      // Clauses 2 and 3 and the argmin: MTI's one pruned-row routine.
       const value_t loosened = mti.ub(r) + mti.drift(a);
-      cluster_t* cand = pt.cand.data();
-      value_t* cand_sq = pt.cand_sq.data();
-      int m = 0;
-      cand[m++] = a;
-      for (int c = 0; c < k; ++c) {
-        if (static_cast<cluster_t>(c) == a) continue;
-        if (loosened <=
-            value_t(0.5) * mti.c2c(a, static_cast<cluster_t>(c))) {
-          ++pt.counters.clause2_skips;
-          continue;
-        }
-        cand[m++] = static_cast<cluster_t>(c);
-      }
-      // Evaluate: one kernel call, bitwise equal to one dist_sq per
-      // candidate (kernels/simd.hpp contract).
-      K.dist_sq_list(v, pack, cand, m, cand_sq);
-      // Replay clause 3 and the argmin over true distances. sqrt is
-      // correctly rounded and monotone, so sqrt(x) < best_d implies
-      // x < best_sq: the squared test only spares the sqrt of an entry that
-      // cannot win, and the decision is the true-distance one.
-      value_t best_sq = cand_sq[0];
-      best_d = std::sqrt(best_sq);
-      ++pt.counters.dist_computations;
-      best = a;
-      for (int i = 1; i < m; ++i) {
-        const cluster_t c = cand[i];
-        if (best_d <= value_t(0.5) * mti.c2c(best, c)) {
-          ++pt.counters.clause3_skips;
-          continue;
-        }
-        ++pt.counters.dist_computations;
-        if (cand_sq[i] < best_sq) {
-          const value_t dc = std::sqrt(cand_sq[i]);
-          if (dc < best_d) {
-            best_d = dc;
-            best_sq = cand_sq[i];
-            best = c;
-          }
-        }
-      }
+      const PrunedNearest won = mti.nearest_pruned(
+          v, a, loosened, pack, K, pt.cand.data(), pt.cand_sq.data(),
+          pt.counters);
+      best = won.best;
+      best_d = won.best_d;
     } else {
       value_t best_sq = 0;
       best = K.nearest_blocked(v, pack, &best_sq);

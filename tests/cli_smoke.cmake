@@ -59,6 +59,8 @@ run_step(cluster_dist ${KNOR_CLI} cluster --data ${DATA} --mode dist
 run_step(cluster_dist_sched ${KNOR_CLI} cluster --data ${DATA} --mode dist
          --k 4 --iters 10 --ranks 2 --threads-per-rank 2 --sched static
          --numa-bind off)
+run_step(cluster_dist_init_random ${KNOR_CLI} cluster --data ${DATA}
+         --mode dist --k 4 --iters 10 --ranks 2 --init random)
 # Fault-tolerant elastic knord (DESIGN.md §13): scripted crash + recovery,
 # transient retries, graceful elasticity, checkpoint + resume.
 set(FT_CKPT ${WORK_DIR}/ft.ckpt)
@@ -125,6 +127,11 @@ function(reject_step2 name)
 endfunction()
 
 reject_step(bad_mode ${KNOR_CLI} cluster --data ${DATA} --mode bogus --k 2)
+# An --init the engine cannot honour exits 2 instead of running forgy.
+reject_step2(sem_init_kmeanspp ${KNOR_CLI} cluster --data ${DATA} --mode sem
+             --k 4 --iters 2 --init kmeans++)
+reject_step2(sem_init_random ${KNOR_CLI} cluster --data ${DATA} --mode sem
+             --k 4 --iters 2 --init random)
 # FT flags: a malformed fault plan exits 2 through usage(); a resume
 # without a checkpoint path (or onto a missing file) must fail loudly.
 reject_step2(bad_fault_plan ${KNOR_CLI} cluster --data ${DATA} --mode dist

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <initializer_list>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "core/distance.hpp"
 #include "core/engines.hpp"
@@ -202,7 +205,7 @@ TEST(MtiState, PrepareComputesC2CDriftAndSeparation) {
   cur.at(1, 0) = 4;
   cur.at(2, 1) = 3;
   MtiState mti(1, 3);
-  mti.prepare(DenseMatrix{}, cur);
+  mti.prepare(DenseMatrix{}, cur, kernels::ops());
   EXPECT_DOUBLE_EQ(mti.c2c(0, 1), 4.0);
   EXPECT_DOUBLE_EQ(mti.c2c(0, 2), 3.0);
   EXPECT_DOUBLE_EQ(mti.c2c(1, 2), 5.0);
@@ -212,7 +215,7 @@ TEST(MtiState, PrepareComputesC2CDriftAndSeparation) {
 
   DenseMatrix prev = cur;
   cur.at(0, 0) = 1;  // centroid 0 moved by 1
-  mti.prepare(prev, cur);
+  mti.prepare(prev, cur, kernels::ops());
   EXPECT_DOUBLE_EQ(mti.drift(0), 1.0);
   EXPECT_DOUBLE_EQ(mti.drift(1), 0.0);
 }
@@ -222,15 +225,100 @@ TEST(MtiState, Clause1UsesHalfSeparation) {
   cur.at(0, 0) = 0;
   cur.at(1, 0) = 10;
   MtiState mti(1, 2);
-  mti.prepare(DenseMatrix{}, cur);
-  EXPECT_TRUE(mti.clause1(0, 4.9));   // 4.9 <= 5.0
+  mti.prepare(DenseMatrix{}, cur, kernels::ops());
+  EXPECT_TRUE(mti.clause1(0, 4.9));   // 4.9 < 5.0
   EXPECT_FALSE(mti.clause1(0, 5.1));  // cannot prove
+  // A bound at exactly half the separation allows a tie, so it must not
+  // skip the row.
+  EXPECT_FALSE(mti.clause1(0, mti.s_half(0)));
+}
+
+/// One row through MtiState::nearest_pruned against centroids `cur`
+/// (2-d rows), returning the winner and the counters it bumped.
+struct PrunedRow {
+  PrunedNearest won;
+  Counters cnt;
+};
+
+PrunedRow prune_row(const DenseMatrix& cur, value_t x, value_t y,
+                    cluster_t a, value_t loosened) {
+  const kernels::Ops& K = kernels::ops();
+  const int k = static_cast<int>(cur.rows());
+  MtiState mti(1, k);
+  mti.prepare(DenseMatrix{}, cur, K);
+  kernels::CentroidPack pack;
+  pack.pack(cur);
+  std::vector<cluster_t> cand(static_cast<std::size_t>(k));
+  std::vector<value_t> cand_sq(static_cast<std::size_t>(k));
+  const value_t v[2] = {x, y};
+  PrunedRow out;
+  out.won = mti.nearest_pruned(v, a, loosened, pack, K, cand.data(),
+                               cand_sq.data(), out.cnt);
+  return out;
+}
+
+DenseMatrix centroids_2d(std::initializer_list<std::pair<int, int>> pts) {
+  DenseMatrix m(static_cast<index_t>(pts.size()), 2);
+  index_t r = 0;
+  for (const auto& [x, y] : pts) {
+    m.at(r, 0) = x;
+    m.at(r, 1) = y;
+    ++r;
+  }
+  return m;
+}
+
+// The pruned-row tests use 3-4-5 triangles, so every distance, sqrt and
+// half-separation is exact on every ISA.
+TEST(MtiState, PrunedTieAtAssignedDistanceGoesToLowerIndex) {
+  // (3,4) is 5 from both (0,0) and (6,0); no clause is at its boundary.
+  const PrunedRow row = prune_row(centroids_2d({{0, 0}, {6, 0}}), 3, 4,
+                                  /*a=*/1, /*loosened=*/5);
+  EXPECT_EQ(row.won.best, 0u);
+  EXPECT_DOUBLE_EQ(row.won.best_d, 5.0);
+  EXPECT_EQ(row.cnt.dist_computations, 2u);
+}
+
+TEST(MtiState, PrunedClause2BoundAtHalfSeparationEvaluates) {
+  // c2c = 10, so a loosened bound of 5 sits exactly on clause 2's test:
+  // the tied lower index must be evaluated, not skipped.
+  const PrunedRow row = prune_row(centroids_2d({{0, 0}, {6, 8}}), 3, 4,
+                                  /*a=*/1, /*loosened=*/5);
+  EXPECT_EQ(row.won.best, 0u);
+  EXPECT_DOUBLE_EQ(row.won.best_d, 5.0);
+  EXPECT_EQ(row.cnt.clause2_skips, 0u);
+  EXPECT_EQ(row.cnt.dist_computations, 2u);
+}
+
+TEST(MtiState, PrunedClause3BoundAtHalfSeparationEvaluates) {
+  // A looser bound passes clause 2; the tightened bound 5 then sits
+  // exactly on clause 3's test.
+  const PrunedRow row = prune_row(centroids_2d({{0, 0}, {6, 8}}), 3, 4,
+                                  /*a=*/1, /*loosened=*/6);
+  EXPECT_EQ(row.won.best, 0u);
+  EXPECT_DOUBLE_EQ(row.won.best_d, 5.0);
+  EXPECT_EQ(row.cnt.clause2_skips, 0u);
+  EXPECT_EQ(row.cnt.clause3_skips, 0u);
+  EXPECT_EQ(row.cnt.dist_computations, 2u);
+}
+
+TEST(MtiState, PrunedDuplicateCentroidsResolveToLowerIndex) {
+  // Centroids 1 and 2 coincide, so s_half is 0 for both and clause 1
+  // cannot fire even for a row on them.
+  const DenseMatrix cur = centroids_2d({{0, 0}, {3, 4}, {3, 4}});
+  MtiState mti(1, 3);
+  mti.prepare(DenseMatrix{}, cur, kernels::ops());
+  EXPECT_FALSE(mti.clause1(2, 0));
+  const PrunedRow row = prune_row(cur, 6, 8, /*a=*/2, /*loosened=*/5);
+  EXPECT_EQ(row.won.best, 1u);
+  EXPECT_DOUBLE_EQ(row.won.best_d, 5.0);
+  EXPECT_EQ(row.cnt.dist_computations, 3u);
 }
 
 TEST(MtiState, SingleClusterSeparationIsZero) {
   DenseMatrix cur(1, 2);
   MtiState mti(4, 1);
-  mti.prepare(DenseMatrix{}, cur);
+  mti.prepare(DenseMatrix{}, cur, kernels::ops());
   EXPECT_DOUBLE_EQ(mti.s_half(0), 0.0);
 }
 

@@ -5,10 +5,11 @@
 // exact engine must be monotone non-increasing along the iteration
 // sequence. Pruning bugs (a bound that under-estimates, a drift applied in
 // the wrong direction, a stale c2c entry) show up here as a flipped
-// assignment on some seed long before they corrupt a benchmark. MTI's
-// clause and distance counters are pinned on two fixed inputs, for knori,
-// knord and knors, so a path that keeps the clustering but miscounts fails
-// too.
+// assignment on some seed long before they corrupt a benchmark. On small
+// integer inputs, where exact distance ties are common, every pruned engine
+// must also decide ties like the full scan (DESIGN.md §3). MTI's clause and
+// distance counters are pinned on two fixed inputs, for knori, knord and
+// knors, so a path that keeps the clustering but miscounts fails too.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -16,9 +17,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <exception>
 #include <filesystem>
 #include <limits>
+#include <map>
 #include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/prng.hpp"
 #include "core/engines.hpp"
@@ -91,6 +97,159 @@ TEST(PruningProperty, MtiAndElkanMatchSerialOn50Seeds) {
       }
     }
   }
+}
+
+/// Every pruned engine on one input, each with a knob that changes the
+/// path its rows take: knori at T=1 and T=3 (task_size 4, so T=3 steals),
+/// knord over 3 ranks, knors at T=3 through a 4-row cache refreshed every
+/// iteration (smaller than the active set), and Elkan. `kmat` is scratch
+/// space for knors's input file.
+std::vector<std::pair<std::string, Result>> run_pruned_engines(
+    const DenseMatrix& m, Options opts, const std::string& kmat) {
+  opts.prune = true;
+  opts.numa_nodes = 2;
+  opts.task_size = 4;
+  std::vector<std::pair<std::string, Result>> runs;
+  opts.threads = 1;
+  runs.emplace_back("knori T=1", kmeans(m.const_view(), opts));
+  runs.emplace_back("elkan", elkan_ti(m.const_view(), opts));
+  dist::DistOptions dopts;
+  dopts.ranks = 3;
+  dopts.threads_per_rank = 1;
+  runs.emplace_back("knord 3 ranks", dist::kmeans(m.const_view(), opts, dopts));
+  opts.threads = 3;
+  runs.emplace_back("knori T=3", kmeans(m.const_view(), opts));
+  data::write_matrix(kmat, m);
+  sem::SemOptions sopts;
+  // A chunk holds at most 4 rows, so small page-cache and fetch-batch
+  // budgets change no fetch and spare each run zeroing the defaults.
+  sopts.page_cache_bytes = 16 * sopts.page_size;
+  sopts.io_batch_rows = 8;
+  sopts.row_cache_bytes = 4 * m.cols() * sizeof(value_t);
+  sopts.cache_update_interval = 1;
+  runs.emplace_back("knors T=3", sem::kmeans(kmat, opts, sopts));
+  return runs;
+}
+
+/// Where `res` departs from the full scan's `ref`: an empty string when it
+/// has the same iterations and assignments and its energy is within 1e-9.
+std::string departure(const Result& res, const Result& ref) {
+  if (res.iters != ref.iters)
+    return "iters " + std::to_string(res.iters) + " vs " +
+           std::to_string(ref.iters);
+  if (res.assignments != ref.assignments) return "assignments";
+  if (std::abs(res.energy - ref.energy) > 1e-9 * std::max(1.0, ref.energy))
+    return "energy " + std::to_string(res.energy) + " vs " +
+           std::to_string(ref.energy);
+  return "";
+}
+
+std::string tie_kmat_path(int worker) {
+  return (std::filesystem::temp_directory_path() /
+          ("knor_ties_" + std::to_string(::getpid()) + "_" +
+           std::to_string(worker) + ".kmat"))
+      .string();
+}
+
+// Row 0 is at squared distance 2 from both provided centroids. The full
+// scan keeps the lower index and reaches 001 in 2 iterations with energy 4.
+// A replay that compares with the rounded best_d * best_d
+// (fl(sqrt(2))^2 > 2) moves row 0 and ends at 101 in 3 iterations with
+// energy 1.
+TEST(PruningProperty, ThreeRowTieGoesToLowerIndex) {
+  DenseMatrix m(3, 2);
+  const value_t rows[3][2] = {{0, 0}, {2, 2}, {1, -1}};
+  for (index_t r = 0; r < 3; ++r)
+    for (index_t j = 0; j < 2; ++j) m.at(r, j) = rows[r][j];
+  Options opts;
+  opts.k = 2;
+  opts.init = Init::kProvided;
+  opts.initial_centroids = DenseMatrix(2, 2);
+  opts.initial_centroids.at(0, 0) = 1;
+  opts.initial_centroids.at(0, 1) = 1;
+  opts.initial_centroids.at(1, 0) = 1;
+  opts.initial_centroids.at(1, 1) = -1;
+
+  Options serial_opts = opts;
+  serial_opts.prune = false;
+  const Result ref = lloyd_serial(m.const_view(), serial_opts);
+  ASSERT_EQ(ref.iters, 2u);
+  ASSERT_EQ(ref.assignments, (std::vector<cluster_t>{0, 0, 1}));
+  ASSERT_DOUBLE_EQ(ref.energy, 4.0);
+
+  const std::string kmat = tie_kmat_path(0);
+  for (const auto& [name, res] : run_pruned_engines(m, opts, kmat))
+    EXPECT_EQ(departure(res, ref), "") << name;
+  std::filesystem::remove(kmat);
+}
+
+/// A tie-heavy input: 6-45 rows of 1-3 integer coordinates in [-4, 4] and
+/// k = 2-5 provided integer centroids, drawn from `seed`.
+std::pair<DenseMatrix, Options> tied_integer_case(std::uint64_t seed) {
+  Prng rng(seed, /*stream=*/0x71e5);
+  const auto n = static_cast<index_t>(6 + rng.next_below(40));
+  const auto d = static_cast<index_t>(1 + rng.next_below(3));
+  Options opts;
+  opts.k = 2 + static_cast<int>(rng.next_below(4));
+  opts.init = Init::kProvided;
+  const auto fill = [&](DenseMatrix& m) {
+    for (index_t r = 0; r < m.rows(); ++r)
+      for (index_t j = 0; j < d; ++j)
+        m.at(r, j) =
+            static_cast<value_t>(static_cast<int>(rng.next_below(9)) - 4);
+  };
+  DenseMatrix m(n, d);
+  fill(m);
+  opts.initial_centroids = DenseMatrix(static_cast<index_t>(opts.k), d);
+  fill(opts.initial_centroids);
+  return {std::move(m), std::move(opts)};
+}
+
+// On 3000 tie-heavy integer inputs every pruned engine must match serial
+// Lloyd's. Each run is a few fork/joins on a few dozen rows, so the cases
+// are split over a few test threads.
+TEST(PruningProperty, PrunedEnginesMatchSerialOnTiedIntegerInputs) {
+  constexpr std::uint64_t kCases = 3000;
+  constexpr int kWorkers = 3;
+  // Per worker: engine name -> "seed S: why" for each departing input.
+  std::vector<std::map<std::string, std::vector<std::string>>> found(
+      kWorkers);
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kWorkers; ++w)
+    workers.emplace_back([&found, w] {
+      auto& mine = found[static_cast<std::size_t>(w)];
+      const std::string kmat = tie_kmat_path(w);
+      std::uint64_t seed = 1 + static_cast<std::uint64_t>(w);
+      try {
+        for (; seed <= kCases; seed += kWorkers) {
+          const auto [m, opts] = tied_integer_case(seed);
+          Options serial_opts = opts;
+          serial_opts.prune = false;
+          const Result ref = lloyd_serial(m.const_view(), serial_opts);
+          for (const auto& [name, res] : run_pruned_engines(m, opts, kmat)) {
+            const std::string why = departure(res, ref);
+            if (!why.empty())
+              mine[name].push_back("seed " + std::to_string(seed) + ": " +
+                                   why);
+          }
+        }
+      } catch (const std::exception& e) {
+        mine["exception"].push_back("seed " + std::to_string(seed) + ": " +
+                                    e.what());
+      }
+      std::filesystem::remove(kmat);
+    });
+  for (std::thread& t : workers) t.join();
+
+  std::map<std::string, std::vector<std::string>> departures;
+  for (const auto& per_worker : found)
+    for (const auto& [name, cases] : per_worker)
+      departures[name].insert(departures[name].end(), cases.begin(),
+                              cases.end());
+  for (const auto& [name, cases] : departures)
+    ADD_FAILURE() << name << " departs from serial Lloyd's on "
+                  << cases.size() << " of " << kCases
+                  << " inputs, e.g. " << cases.front();
 }
 
 /// 64-bit FNV-1a over the assignment vector's bytes.

@@ -43,6 +43,8 @@ subcommands:
           [--metrics FILE] [--trace FILE]
           im:   [--algo lloyd|gemm] [--gemm-tile auto|RxC]
       --threads T      worker threads (0 = one per hardware CPU)
+      --init           centroid init (default forgy); sem accepts only
+                       forgy
       --algo           im-mode engine: lloyd = NUMA-optimized pruned
                        Lloyd's (default), gemm = blocked-GEMM formulation
                        (fastest at large k; see DESIGN.md §12)
@@ -216,8 +218,10 @@ int cmd_cluster(const Args& args) {
         static_cast<int>(args.num("checkpoint-interval", 0));
     sopts.resume = args.has("resume");
     args.reject_unknown();  // every sem-mode flag has been consulted
-    if (opts.init == Init::kKmeansPP || opts.init == Init::kRandom)
-      opts.init = Init::kForgy;  // SEM supports forgy/provided
+    // knors draws forgy's k rows in one fetch; random partition and
+    // k-means++ would need passes over the whole file that it lacks.
+    if (opts.init != Init::kForgy)
+      usage("--mode sem supports only --init forgy");
     sem::SemStats stats;
     print_result(sem::kmeans(path, opts, sopts, &stats));
     std::printf("io: requested %.1f MB, read %.1f MB over %zu iterations\n",
@@ -239,7 +243,6 @@ int cmd_cluster(const Args& args) {
     fopts.max_retries = static_cast<int>(args.num("max-retries", 4));
     fopts.resume = args.has("resume");
     args.reject_unknown();  // every dist-mode flag has been consulted
-    if (opts.init == Init::kRandom) opts.init = Init::kForgy;
     try {
       if (!plan_spec.empty()) fopts.plan = dist::FaultPlan::parse(plan_spec);
     } catch (const std::invalid_argument& e) {
