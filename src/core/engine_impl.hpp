@@ -1,12 +1,29 @@
-// The ||Lloyd's parallel engine (paper Algorithm 1 + §5 optimizations),
-// templated over a data source so the same code drives:
-//   * NumaData — rows partitioned across NUMA-node-local blocks (knori),
-//   * FlatData — one contiguous NUMA-oblivious allocation (the Figure 4
-//     baseline).
+// The ||Lloyd's parallel engine (paper Algorithm 1 + §5 optimizations): the
+// one pruned-engine loop, templated over a row source so the same code
+// drives knori, every knord rank and knors:
+//   * MemorySource<NumaData> — rows partitioned across NUMA-node-local
+//     blocks (knori, knord),
+//   * MemorySource<FlatData> — one contiguous NUMA-oblivious allocation
+//     (the Figure 4 baseline),
+//   * sem::SemSource — rows in a .kmat page file, served by the row cache
+//     or fetched through the page cache (knors, src/sem/sem_kmeans.cpp).
 //
-// Data concept:
-//   const value_t* row(index_t r) const;  // O(1) access to row r
-//   int node_of_row(index_t r) const;     // NUMA node owning r's memory
+// Row-source concept (DESIGN.md §7). `skip(r)` is the loop's clause-1 step
+// for row r (true: its assignment stands, the row is done); `stands(r)` is
+// the same test without its writes; `visit(r, v)` is the loop's row step,
+// `v` the row's data:
+//   void begin_iteration(int it);  // driver, before iteration it (0-based)
+//   void prologue(int tid, stands); // every worker, before its first claim
+//                                   // of the iteration; may barrier, so
+//                                   // must not throw
+//   void for_chunk(int tid, const sched::Task&, Counters&, skip, visit);
+//       // skip(r) for every row of the task, then visit(r, v) for each row
+//       // skip rejected, in row order; no indirect call per row; may throw
+//       // (the loop rethrows after the iteration's barriers)
+//   void end_iteration();           // driver, after the super-phase's fold
+//   void for_energy(int tid, const sched::Task&, visit);  // every row
+//   void end_run(Result&);          // driver, once the result is complete,
+//                                   // before its counters publish
 //
 // One Scheduler::run per iteration executes the super-phase: workers drain
 // the NUMA-partitioned work-stealing chunk queues (nearest-centroid + local
@@ -19,11 +36,12 @@
 // c's rows in row order no matter which thread ends up processing it, and
 // the fold's association is fixed by the chunk count — so centroids,
 // assignments and iteration counts are bitwise identical across runs,
-// scheduling policies, steal schedules, and thread counts.
+// scheduling policies, steal schedules, thread counts and row sources.
 #pragma once
 
 #include <cmath>
 #include <cstring>
+#include <exception>
 #include <type_traits>
 #include <vector>
 
@@ -61,36 +79,66 @@ struct alignas(kCacheLine) PerThread {
   std::vector<value_t> cand_sq;
 };
 
-/// Walk task's rows in segments that stay inside one thread block, so the
-/// base pointer and the local/remote classification hoist out of the
-/// per-row loop (chunks can straddle block boundaries now that the chunk
-/// grid is laid over the global row space). `cnt` == nullptr skips both the
-/// locality accounting and the emulated remote penalty (the final energy
-/// pass is not part of the iteration-time model).
-template <typename Data, typename PerRow>
-void for_task_rows(const Data& data, const numa::Partitioner& parts,
-                   const sched::Task& task, int my_node, Counters* cnt,
-                   PerRow&& per_row) {
-  index_t r = task.begin;
-  while (r < task.end) {
-    const int home = parts.thread_of_row(r);
-    const index_t seg_end = std::min(task.end, parts.thread_rows(home).end);
-    const value_t* base = data.row(r);
-    const bool local = data.node_of_row(r) == my_node;
-    if (cnt != nullptr) {
-      if (local)
-        cnt->local_accesses += seg_end - r;
-      else
-        cnt->remote_accesses += seg_end - r;
-    }
-    for (index_t i = r; i < seg_end; ++i) {
-      if (cnt != nullptr && !local) numa::RemotePenalty::charge();
-      per_row(i, base, r);
-    }
-    r = seg_end;
-  }
-}
+/// The in-memory row source over a Data adapter (NumaData or FlatData,
+/// each with `const value_t* row(index_t r) const` and `int
+/// node_of_row(index_t r) const`): a chunk's rows read in place. No
+/// per-iteration state.
+template <typename Data>
+struct MemorySource {
+  const Data& data;
+  const numa::Partitioner& parts;
+  index_t d;
 
+  void begin_iteration(int) {}
+  template <typename Stands>
+  void prologue(int, Stands&&) {}
+  template <typename Skip, typename Visit>
+  void for_chunk(int tid, const sched::Task& task, Counters& cnt, Skip&& skip,
+                 Visit&& visit) const {
+    walk(tid, task, &cnt, [&](index_t r, const value_t* v) {
+      if (!skip(r)) visit(r, v);
+    });
+  }
+  void end_iteration() {}
+  template <typename Visit>
+  void for_energy(int tid, const sched::Task& task, Visit&& visit) const {
+    walk(tid, task, nullptr, visit);
+  }
+  void end_run(Result&) {}
+
+  /// Walk the task's rows in segments that stay inside one thread block,
+  /// so the base pointer and the local/remote classification hoist out of
+  /// the per-row loop (chunks can straddle block boundaries now that the
+  /// chunk grid is laid over the global row space). `cnt` == nullptr skips
+  /// both the locality accounting and the emulated remote penalty (the
+  /// final energy pass is not part of the iteration-time model).
+  template <typename PerRow>
+  void walk(int tid, const sched::Task& task, Counters* cnt,
+            PerRow&& per_row) const {
+    const int my_node = parts.node_of_thread(tid);
+    index_t r = task.begin;
+    while (r < task.end) {
+      const int home = parts.thread_of_row(r);
+      const index_t seg_end = std::min(task.end, parts.thread_rows(home).end);
+      const value_t* base = data.row(r);
+      const bool local = data.node_of_row(r) == my_node;
+      if (cnt != nullptr) {
+        if (local)
+          cnt->local_accesses += seg_end - r;
+        else
+          cnt->remote_accesses += seg_end - r;
+      }
+      for (index_t i = r; i < seg_end; ++i) {
+        if (cnt != nullptr && !local) numa::RemotePenalty::charge();
+        per_row(i, base + static_cast<std::size_t>(i - r) * d);
+      }
+      r = seg_end;
+    }
+  }
+};
+
+/// `src` is the row source (the concept at the top of this file).
+///
 /// `reducer` (nullable) is the cross-node hook: when set, the merged
 /// per-iteration accumulator plus the changed-count are allreduced across
 /// ranks in one collective before finalization, and the final energy is
@@ -102,10 +150,10 @@ void for_task_rows(const Data& data, const numa::Partitioner& parts,
 /// restored assignments/pre-loosened bounds/global sums make the first
 /// resumed iteration bitwise identical to the same iteration of the
 /// uninterrupted run (see ResumeState). `observer` (nullable) is called at
-/// every non-final iteration boundary and may stop the run or throw
-/// (DESIGN.md §13).
-template <typename Data>
-Result run_parallel_lloyd(const Data& data, index_t n, index_t d,
+/// every iteration boundary but the converging one and may stop the run or
+/// throw (DESIGN.md §13).
+template <typename Source>
+Result run_parallel_lloyd(Source& src, index_t n, index_t d,
                           const Options& opts, DenseMatrix initial,
                           sched::Scheduler& sched,
                           const numa::Partitioner& parts,
@@ -214,24 +262,30 @@ Result run_parallel_lloyd(const Data& data, index_t n, index_t d,
                          res.assignments.size() * sizeof(cluster_t));
   ScopedAlloc mem_mti("mti-state", prune ? mti.bytes() : 0);
 
-  // `v` is the row's data; locality accounting is hoisted to per-segment in
-  // for_task_rows. `chunk` selects the deterministic accumulator slot.
-  auto process_point = [&](index_t r, const value_t* v, int tid,
-                           std::uint32_t chunk) {
-    PerThread& pt = per_thread[static_cast<std::size_t>(tid)];
+  // Clause 1 for row r (DESIGN.md §3): its loosened bound, left in
+  // `loosened`, proves the assignment stands this iteration. Writes no
+  // state, so a source may decide with `stands` ahead of its chunk walk
+  // (knors ranks row-cache admissions with it).
+  const auto clause1 = [&](index_t r, value_t& loosened) {
+    const cluster_t a = res.assignments[r];
+    if (!prune || a == kInvalidCluster) return false;
+    loosened = mti.ub(r) + mti.drift(a);
+    return mti.clause1(a, loosened);
+  };
+  const auto stands = [&](index_t r) {
+    value_t loosened = 0;
+    return clause1(r, loosened);
+  };
+
+  // The row step for a row that clause 1 did not settle; `v` is its data
+  // and `chunk` selects the deterministic accumulator slot.
+  const auto process_point = [&](PerThread& pt, std::uint32_t chunk,
+                                 index_t r, const value_t* v) {
     Counters& cnt = pt.counters;
     const cluster_t a = res.assignments[r];
     if (prune && a != kInvalidCluster) {
-      const value_t loosened = mti.ub(r) + mti.drift(a);
-      if (mti.clause1(a, loosened)) {
-        // Clause 1: assignment provably unchanged — no distance
-        // computation, no accumulate, no touch of the row data at all
-        // (the in-memory analogue of knors's elided I/O request).
-        mti.set_ub(r, loosened);
-        ++cnt.clause1_skips;
-        return;
-      }
       // Clauses 2 and 3 and the argmin: MTI's one pruned-row routine.
+      const value_t loosened = mti.ub(r) + mti.drift(a);
       const auto [best, best_d] = mti.nearest_pruned(
           v, a, loosened, pack, K, pt.cand.data(), pt.cand_sq.data(), cnt);
       if (best != a) {
@@ -269,22 +323,35 @@ Result run_parallel_lloyd(const Data& data, index_t n, index_t d,
   };
 
   const auto iteration = [&](int tid) {
+    PerThread& pt = per_thread[static_cast<std::size_t>(tid)];
     const double cpu_start = thread_cpu_seconds();
-    per_thread[static_cast<std::size_t>(tid)].changed = 0;
-    Counters& cnt = per_thread[static_cast<std::size_t>(tid)].counters;
-    const int my_node = parts.node_of_thread(tid);
-    sched::Task task;
-    while (sched.next_chunk(tid, task)) {
-      for_task_rows(data, parts, task, my_node, &cnt,
-                    [&](index_t r, const value_t* base, index_t seg_begin) {
-                      process_point(
-                          r,
-                          base + static_cast<std::size_t>(r - seg_begin) * d,
-                          tid, task.chunk);
-                    });
+    pt.changed = 0;
+    src.prologue(tid, stands);
+    // Clause 1 settles the row: no distance, no accumulate and no touch of
+    // its data (in knors, no I/O request).
+    const auto skip = [&](index_t r) {
+      value_t loosened = 0;
+      if (!clause1(r, loosened)) return false;
+      mti.set_ub(r, loosened);
+      ++pt.counters.clause1_skips;
+      return true;
+    };
+    // A row that fails to load (knors's pread) must not keep this worker
+    // from the barriers below, where its siblings would wait forever: the
+    // error is kept, the worker still arrives and folds, then rethrows it
+    // for Scheduler::run to report.
+    std::exception_ptr error;
+    try {
+      sched::Task task;
+      while (sched.next_chunk(tid, task))
+        src.for_chunk(tid, task, pt.counters, skip,
+                      [&](index_t r, const value_t* v) {
+                        process_point(pt, task.chunk, r, v);
+                      });
+    } catch (...) {
+      error = std::current_exception();
     }
-    per_thread[static_cast<std::size_t>(tid)].busy_s +=
-        thread_cpu_seconds() - cpu_start;
+    pt.busy_s += thread_cpu_seconds() - cpu_start;
     // The single global barrier of ||Lloyd's, then the fixed-tree fold of
     // the per-chunk accumulators (slot 0 <- everything, chunk order).
     sched.barrier().arrive_and_wait();
@@ -292,6 +359,7 @@ Result run_parallel_lloyd(const Data& data, index_t n, index_t d,
       deltas.fold(tid, T, sched.barrier());
     else
       locals.fold(tid, T, sched.barrier());
+    if (error) std::rethrow_exception(error);
   };
 
   // Convergence is judged on the *global* point count when a reducer is
@@ -322,6 +390,7 @@ Result run_parallel_lloyd(const Data& data, index_t n, index_t d,
   for (int it = start_iter; it < opts.max_iters; ++it) {
     WallTimer timer;
     pack.pack(cur);
+    src.begin_iteration(it);
     sched.begin_chunks(n, task_size, &parts);
     {
       // Driver-side view of the super-phase: workers' nearest-centroid +
@@ -330,6 +399,7 @@ Result run_parallel_lloyd(const Data& data, index_t n, index_t d,
       obs::Span span_assign("assign");
       sched.run(iteration);
     }
+    src.end_iteration();
 
     std::uint64_t changed = 0;
     for (const auto& pt : per_thread) changed += pt.changed;
@@ -415,14 +485,10 @@ Result run_parallel_lloyd(const Data& data, index_t n, index_t d,
     std::vector<double> chunk_energy(chunks, 0.0);
     sched.parallel_for(n, task_size, &parts,
                        [&](int tid, const sched::Task& task) {
-      const int my_node = parts.node_of_thread(tid);
       double e = 0.0;
-      for_task_rows(data, parts, task, my_node, nullptr,
-                    [&](index_t r, const value_t* base, index_t seg_begin) {
-                      e += K.dist_sq(
-                          base + static_cast<std::size_t>(r - seg_begin) * d,
-                          cur.row(res.assignments[r]), d);
-                    });
+      src.for_energy(tid, task, [&](index_t r, const value_t* v) {
+        e += K.dist_sq(v, cur.row(res.assignments[r]), d);
+      });
       chunk_energy[task.chunk] = e;
     });
     for (const double e : chunk_energy) res.energy += e;
@@ -437,6 +503,7 @@ Result run_parallel_lloyd(const Data& data, index_t n, index_t d,
   res.counters.tasks_same_node = steals.same_node;
   res.counters.tasks_remote_node = steals.remote_node;
 
+  src.end_run(res);
   // Publish the run's counters into the global registry — bulk adds at run
   // end through the shared mapping (core/run_metrics.hpp), so the hot loops
   // above keep their plain per-thread structs and --metrics agrees with

@@ -124,9 +124,10 @@ struct Result {
   Counters counters;
   /// Per-worker CPU seconds spent in compute phases over the whole run,
   /// one entry per worker; empty for the engines that do not record it
-  /// (lloyd_serial, lloyd_locked, minibatch, knors). On an oversubscribed
-  /// host, max() of these approximates the run's makespan on dedicated
-  /// cores.
+  /// (lloyd_serial, lloyd_locked, minibatch). On an oversubscribed host,
+  /// max() of these approximates the run's makespan on dedicated cores.
+  /// knors's include the CPU time of its workers' `pread` calls and the
+  /// SSD model's spin, not time blocked on the device or the I/O thread.
   std::vector<double> thread_busy_s;
   /// CPU seconds of inherently serial driver-side work: the framework
   /// stand-ins' shuffle and master reductions, and the full-scan engines'
@@ -174,9 +175,9 @@ struct GlobalReducer {
 /// shard (n rows), except sums/counts which are the replicated GLOBAL
 /// accumulators — identical on every participant after the boundary's
 /// allreduce, exactly as the engine maintains them. `upper_bounds` must be
-/// pre-loosened against the resumed centroids (ub + drift at save time) so
-/// the engine can restart with drift 0 and stay bitwise exact — the same
-/// contract as the SEM checkpoint path (src/sem/sem_kmeans.cpp).
+/// pre-loosened against the resumed centroids (ub + drift at save time,
+/// checkpoint_bounds in core/mti.hpp) so the engine can restart with
+/// drift 0 and stay bitwise exact. knors resumes through it too.
 struct ResumeState {
   std::uint64_t iteration = 0;         ///< iterations already completed
   std::vector<cluster_t> assignments;  ///< size n (this node's shard)
@@ -200,9 +201,9 @@ struct IterationView {
 };
 
 /// Iteration-boundary hook for the parallel engine: called after every
-/// completed iteration EXCEPT the one that ends the run (convergence or
-/// max_iters) — a run that just finished has nothing left to checkpoint or
-/// stop. When a GlobalReducer is present the view's `changed` is the global
+/// completed iteration EXCEPT the one that converges — a converged run has
+/// nothing left to checkpoint or stop. The max_iters boundary is
+/// observed. When a GlobalReducer is present the view's `changed` is the global
 /// count and all ranks observe the identical boundary, so an observer that
 /// decides from (plan, view) alone decides identically on every rank.
 /// Return false to stop the run cleanly at this boundary; throwing

@@ -38,7 +38,8 @@ Result run_node(ConstMatrixView data, const Options& opts,
     // allocation's first touch put it (node 0 for accounting purposes).
     sched::Scheduler sched(T, topo, /*bind=*/false, opts.sched);
     detail::FlatData flat{data};
-    return detail::run_parallel_lloyd(flat, n, d, opts, std::move(initial),
+    detail::MemorySource<detail::FlatData> src{flat, parts, d};
+    return detail::run_parallel_lloyd(src, n, d, opts, std::move(initial),
                                       sched, parts, reducer, resume,
                                       observer);
   }
@@ -50,7 +51,8 @@ Result run_node(ConstMatrixView data, const Options& opts,
                  " nodes=", topo.num_nodes(),
                  (opts.prune ? " mti=on" : " mti=off"));
   NumaData nd{&ds};
-  return detail::run_parallel_lloyd(nd, n, d, opts, std::move(initial), sched,
+  detail::MemorySource<NumaData> src{nd, parts, d};
+  return detail::run_parallel_lloyd(src, n, d, opts, std::move(initial), sched,
                                     parts, reducer, resume, observer);
 }
 

@@ -50,4 +50,19 @@ void MtiState::prepare(const DenseMatrix& prev, const DenseMatrix& cur,
   }
 }
 
+namespace detail {
+
+std::vector<value_t> checkpoint_bounds(const IterationView& view) {
+  std::vector<value_t> bounds;
+  if (view.mti == nullptr) return bounds;
+  const std::vector<cluster_t>& assign = *view.assignments;
+  bounds.resize(assign.size());
+  for (std::size_t i = 0; i < assign.size(); ++i)
+    bounds[i] = view.mti->ub(static_cast<index_t>(i)) +
+                view.mti->drift(assign[i]);
+  return bounds;
+}
+
+}  // namespace detail
+
 }  // namespace knor

@@ -133,4 +133,14 @@ class MtiState {
   std::vector<value_t> s_half_;  ///< k
 };
 
+namespace detail {
+
+/// The MTI bounds a checkpoint stores, one per row of the view: each row's
+/// bound pre-loosened against the view's centroids, ub + drift(a), so a
+/// resumed run restarts with drift 0 and stays bitwise exact (ResumeState).
+/// Empty when MTI is off. knors and knord both checkpoint through it.
+std::vector<value_t> checkpoint_bounds(const IterationView& view);
+
+}  // namespace detail
+
 }  // namespace knor

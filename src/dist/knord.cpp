@@ -320,15 +320,8 @@ class FtObserver final : public knor::detail::IterObserver {
                      begin, nn);
     std::vector<value_t> bounds;
     if (view.mti != nullptr) {
-      // Pre-loosen against the current centroids (ub + drift) so resume
-      // restarts with drift 0 and stays bitwise exact — the SEM
-      // checkpoint contract (src/sem/sem_kmeans.cpp).
-      std::vector<value_t> loosened(count);
-      for (index_t i = 0; i < rows_.size(); ++i)
-        loosened[static_cast<std::size_t>(i)] =
-            view.mti->ub(i) +
-            view.mti->drift((*view.assignments)[static_cast<std::size_t>(
-                i)]);
+      const std::vector<value_t> loosened =
+          knor::detail::checkpoint_bounds(view);
       bounds.resize(nn);
       comm_.allgatherv(loosened.data(), count, bounds.data(), begin, nn);
     }

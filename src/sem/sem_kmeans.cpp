@@ -1,22 +1,15 @@
 #include "sem/sem_kmeans.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <stdexcept>
 
-#include "common/logger.hpp"
 #include "common/memory_tracker.hpp"
-#include "common/timer.hpp"
+#include "core/engine_impl.hpp"
 #include "core/init.hpp"
-#include "core/kernels/simd.hpp"
-#include "core/local_centroids.hpp"
 #include "core/mti.hpp"
-#include "core/run_metrics.hpp"
 #include "numa/partitioner.hpp"
-#include "core/chunk_accum.hpp"
 #include "obs/registry.hpp"
-#include "obs/span.hpp"
 #include "sched/scheduler.hpp"
 #include "sem/checkpoint.hpp"
 #include "sem/io_engine.hpp"
@@ -45,17 +38,6 @@ std::uint64_t SemStats::total_device_requests() const {
 
 namespace {
 
-struct alignas(kCacheLine) SemPerThread {
-  Counters counters;
-  std::uint64_t changed = 0;
-  std::uint64_t active = 0;
-  std::uint64_t rc_hits = 0;
-  // MTI work buffers, k entries each when pruning: a row's clause-2
-  // survivors and their squared distances from one dist_sq_list call.
-  std::vector<cluster_t> cand;
-  std::vector<value_t> cand_sq;
-};
-
 /// A chunk's intersection with one home partition's row block.
 struct Segment {
   index_t begin;
@@ -63,11 +45,303 @@ struct Segment {
   int home;
 };
 
-/// Where a queued row-cache miss goes once fetched in a refresh iteration:
-/// staging slot `rank` of partition `part`, when the rank fits the budget.
-struct StageSlot {
+/// A clause-1 survivor of the chunk being walked: its row-cache copy
+/// (nullptr: it is fetched) and, when a refresh admits it, its staging
+/// slot `rank` of partition `part` (part < 0: not staged).
+struct Survivor {
+  index_t row;
+  const value_t* cached;
   int part;
   std::uint64_t rank;
+};
+
+/// knors's row source for detail::run_parallel_lloyd (the concept in
+/// core/engine_impl.hpp; DESIGN.md §4). It keeps only what SEM adds to
+/// knori's loop: clause 1 before any data access, the row-cache merge walk
+/// with rank staging, batched fetches with a prefetch of the next batch,
+/// the refresh's rank count and publish, and the per-iteration IterIo.
+/// A chunk's survivors reach the loop's row step in row order, cache hits
+/// and fetched misses interleaved, as knori's rows reach it — so knors
+/// computes knori's bits.
+class SemSource {
+ public:
+  SemSource(IoEngine& engine, PageFile& file, RowCache& row_cache,
+            bool use_rc, const numa::Partitioner& parts,
+            sched::Scheduler& sched, index_t task_size, index_t batch_rows,
+            SemStats* stats)
+      : engine_(engine),
+        file_(file),
+        row_cache_(row_cache),
+        use_rc_(use_rc),
+        sched_(sched),
+        d_(file.d()),
+        batch_rows_(batch_rows),
+        stats_(stats),
+        io_wait_us_(obs::Registry::global().histogram("sem.io_wait_us",
+                                                      obs::Det::kTiming)),
+        workers_(static_cast<std::size_t>(sched.threads())),
+        part_active_(static_cast<std::size_t>(sched.threads())) {
+    // The chunk grid cut at home-partition boundaries, in row order: chunk
+    // c owns segments [chunk_segs_[c], chunk_segs_[c + 1]). A refresh
+    // ranks each partition's active rows through it: seg_rank_[s] is the
+    // rank of segment s's first active row.
+    const index_t n = file.n();
+    for (index_t begin = 0; begin < n; begin += task_size) {
+      chunk_segs_.push_back(segs_.size());
+      const index_t end = std::min(n, begin + task_size);
+      for (index_t r = begin; r < end;) {
+        const int home = parts.thread_of_row(r);
+        const index_t seg_end = std::min(end, parts.thread_rows(home).end);
+        segs_.push_back({r, seg_end, home});
+        r = seg_end;
+      }
+    }
+    chunk_segs_.push_back(segs_.size());
+    seg_rank_.resize(use_rc ? segs_.size() : 0);
+    // Zero the device/engine monotonic counters after init's fetches; the
+    // per-iteration IterIo figures are deltas of them.
+    engine_.reset_stats();
+    file_.reset_stats();
+  }
+
+  void begin_iteration(int it) {
+    ++iterations_;
+    refresh_ = use_rc_ && row_cache_.begin_iteration(it + 1) ==
+                              RowCache::Mode::kRefresh;
+  }
+
+  template <typename Stands>
+  void prologue(int tid, Stands&& stands) {
+    // No worker(tid): its allocation could throw before the barriers below.
+    Worker& w = workers_[static_cast<std::size_t>(tid)];
+    w.active = 0;
+    w.rc_hits = 0;
+    if (!refresh_) return;
+    // Rank the active rows before any chunk is claimed: count each
+    // segment's clause-1 survivors (a static split of the segments), then
+    // one thread turns the counts into first ranks per partition.
+    const std::size_t S = segs_.size();
+    const auto ut = static_cast<std::size_t>(tid);
+    const auto uT = static_cast<std::size_t>(sched_.threads());
+    for (std::size_t s = S * ut / uT; s < S * (ut + 1) / uT; ++s) {
+      std::uint64_t count = 0;
+      for (index_t r = segs_[s].begin; r < segs_[s].end; ++r)
+        if (!stands(r)) ++count;
+      seg_rank_[s] = count;
+    }
+    sched_.barrier().arrive_and_wait();
+    if (tid == 0) {
+      std::fill(part_active_.begin(), part_active_.end(), 0);
+      for (std::size_t s = 0; s < S; ++s) {
+        std::uint64_t& total =
+            part_active_[static_cast<std::size_t>(segs_[s].home)];
+        const std::uint64_t count = seg_rank_[s];
+        seg_rank_[s] = total;
+        total += count;
+      }
+    }
+    sched_.barrier().arrive_and_wait();
+  }
+
+  template <typename Skip, typename Visit>
+  void for_chunk(int tid, const sched::Task& task, Counters&, Skip&& skip,
+                 Visit&& visit) {
+    Worker& w = worker(tid);
+    // Clause 1 first (no data access), then a merge walk of each segment's
+    // ascending survivors against its home partition's ascending published
+    // ids. In a refresh, a survivor whose rank fits the budget is staged.
+    w.survivors.clear();
+    w.misses.clear();
+    const std::uint64_t budget = row_cache_.rows_per_part();
+    for (std::size_t s = chunk_segs_[task.chunk];
+         s < chunk_segs_[task.chunk + 1]; ++s) {
+      const Segment& seg = segs_[s];
+      const RowCache::Slab pub = row_cache_.published(seg.home);
+      const index_t* const pub_end = pub.ids + pub.size;
+      const index_t* hit = std::lower_bound(pub.ids, pub_end, seg.begin);
+      std::uint64_t rank = refresh_ ? seg_rank_[s] : 0;
+      for (index_t r = seg.begin; r < seg.end; ++r) {
+        if (skip(r)) continue;  // assignment stands: no I/O, no compute
+        while (hit != pub_end && *hit < r) ++hit;
+        const value_t* cached = nullptr;
+        if (hit != pub_end && *hit == r)
+          cached = pub.rows + static_cast<std::size_t>(hit - pub.ids) * d_;
+        else
+          w.misses.push_back(r);
+        const bool staged = refresh_ && rank < budget;
+        w.survivors.push_back({r, cached, staged ? seg.home : -1, rank++});
+      }
+    }
+    w.active += w.survivors.size();
+    w.rc_hits += w.survivors.size() - w.misses.size();
+
+    // Survivors in row order. A miss past the fetched batch fetches the
+    // next one, first handing the batch after it to the prefetch thread.
+    std::size_t next_miss = 0, batch_begin = 0, batch_end = 0;
+    IoEngine::Ticket ticket;
+    for (const Survivor& sv : w.survivors) {
+      const value_t* v = sv.cached;
+      if (v == nullptr) {
+        if (next_miss == batch_end) {
+          ticket.wait();
+          batch_begin = batch_end;
+          batch_end = std::min(w.misses.size(), batch_begin + batch_rows_);
+          const std::size_t ahead =
+              std::min(w.misses.size(), batch_end + batch_rows_);
+          if (ahead > batch_end)
+            ticket = engine_.prefetch(std::vector<index_t>(
+                w.misses.begin() + static_cast<std::ptrdiff_t>(batch_end),
+                w.misses.begin() + static_cast<std::ptrdiff_t>(ahead)));
+          w.batch.assign(
+              w.misses.begin() + static_cast<std::ptrdiff_t>(batch_begin),
+              w.misses.begin() + static_cast<std::ptrdiff_t>(batch_end));
+          const std::uint64_t t0 = obs::Tracer::now_us();
+          engine_.fetch_rows(w.batch, w.buf.data());
+          io_wait_us_.record(obs::Tracer::now_us() - t0);
+        }
+        v = w.buf.row(static_cast<index_t>(next_miss++ - batch_begin));
+      }
+      visit(sv.row, v);
+      if (sv.part >= 0) row_cache_.stage(sv.part, sv.rank, sv.row, v);
+    }
+  }
+
+  void end_iteration() {
+    if (refresh_) row_cache_.publish(part_active_);
+    std::uint64_t active = 0;
+    std::uint64_t rc_hits = 0;
+    for (const Worker& w : workers_) {
+      active += w.active;
+      rc_hits += w.rc_hits;
+    }
+    run_active_ += active;
+    run_rc_hits_ += rc_hits;
+    if (stats_ != nullptr) {
+      IterIo io;
+      io.bytes_requested = engine_.bytes_requested() - last_requested_;
+      io.bytes_read = file_.bytes_read() - last_read_;
+      io.device_requests = file_.read_requests() - last_reqs_;
+      io.row_cache_hits = rc_hits;
+      io.active_rows = active;
+      stats_->per_iter.push_back(io);
+    }
+    last_requested_ = engine_.bytes_requested();
+    last_read_ = file_.bytes_read();
+    last_reqs_ = file_.read_requests();
+  }
+
+  /// Every row of the task, streamed once in fetch batches (not counted in
+  /// the iteration I/O statistics).
+  template <typename Visit>
+  void for_energy(int tid, const sched::Task& task, Visit&& visit) {
+    Worker& w = worker(tid);
+    for (index_t begin = task.begin; begin < task.end; begin += batch_rows_) {
+      const index_t end = std::min(task.end, begin + batch_rows_);
+      w.batch.clear();
+      for (index_t r = begin; r < end; ++r) w.batch.push_back(r);
+      engine_.fetch_rows(w.batch, w.buf.data());
+      for (index_t r = begin; r < end; ++r) visit(r, w.buf.row(r - begin));
+    }
+  }
+
+  /// knors's Result counts the iterations this call ran, not those of
+  /// the run it resumed. Then publish the run's SEM counters
+  /// (classification per the SemStats contract in sem_kmeans.hpp):
+  /// demand-side request volume, row-cache hits and clause-1 active-row
+  /// counts are pure functions of (data, opts); supply-side page traffic
+  /// races on which worker faults a shared page first, so page-cache
+  /// hits/misses, device bytes and request counts are timing-class.
+  void end_run(Result& res) {
+    res.iters = iterations_;
+    using obs::Det;
+    obs::Registry& reg = obs::Registry::global();
+    reg.counter("sem.bytes_requested", Det::kDeterministic)
+        .add(engine_.bytes_requested());
+    reg.counter("sem.active_rows", Det::kDeterministic).add(run_active_);
+    reg.counter("sem.row_cache_hits", Det::kDeterministic).add(run_rc_hits_);
+    reg.counter("sem.bytes_read", Det::kTiming).add(file_.bytes_read());
+    reg.counter("sem.device_requests", Det::kTiming)
+        .add(file_.read_requests());
+    reg.counter("sem.page_cache_hits", Det::kTiming)
+        .add(engine_.page_hits());
+    reg.counter("sem.page_cache_misses", Det::kTiming)
+        .add(engine_.page_misses());
+  }
+
+ private:
+  /// One worker's state. The fetch buffer is allocated once per run, on
+  /// the worker's own thread, by its first worker() call (in for_chunk or
+  /// for_energy).
+  struct alignas(kCacheLine) Worker {
+    std::uint64_t active = 0;   ///< this iteration's clause-1 survivors
+    std::uint64_t rc_hits = 0;  ///< ... of which the row cache served
+    std::vector<Survivor> survivors;
+    std::vector<index_t> misses;  ///< the survivors to fetch, ascending
+    std::vector<index_t> batch;   ///< the rows of the fetch in `buf`
+    DenseMatrix buf;              ///< batch_rows x d
+  };
+
+  Worker& worker(int tid) {
+    Worker& w = workers_[static_cast<std::size_t>(tid)];
+    if (w.buf.empty()) w.buf = DenseMatrix(batch_rows_, d_);
+    return w;
+  }
+
+  IoEngine& engine_;
+  PageFile& file_;
+  RowCache& row_cache_;
+  const bool use_rc_;
+  sched::Scheduler& sched_;
+  const index_t d_;
+  const index_t batch_rows_;
+  SemStats* const stats_;
+  // Demand-side I/O wait as seen by one worker: each blocking fetch_rows
+  // call is one sample. Timing-class, like every latency.
+  obs::Histogram& io_wait_us_;
+  std::vector<Worker> workers_;
+  std::vector<Segment> segs_;
+  std::vector<std::size_t> chunk_segs_;
+  std::vector<std::uint64_t> seg_rank_;
+  std::vector<std::uint64_t> part_active_;  ///< active rows per partition
+  bool refresh_ = false;
+  std::size_t iterations_ = 0;  ///< iterations this call ran
+  std::uint64_t last_requested_ = 0;
+  std::uint64_t last_read_ = 0;
+  std::uint64_t last_reqs_ = 0;
+  // Run totals of the workers' per-iteration demand-side tallies.
+  std::uint64_t run_active_ = 0;
+  std::uint64_t run_rc_hits_ = 0;
+};
+
+/// knors's checkpoint writer, called at the loop's iteration boundaries:
+/// every `checkpoint_interval` iterations it saves the state a resume
+/// needs. The converging iteration writes none (the observer is not
+/// called there): the run is complete.
+class CheckpointObserver final : public detail::IterObserver {
+ public:
+  explicit CheckpointObserver(const SemOptions& sem_opts)
+      : sem_opts_(sem_opts) {}
+
+  bool on_iteration(const detail::IterationView& view) override {
+    if (view.iteration %
+            static_cast<std::uint64_t>(sem_opts_.checkpoint_interval) !=
+        0)
+      return true;
+    Checkpoint ckpt;
+    ckpt.iteration = view.iteration;
+    ckpt.centroids = *view.centroids;
+    ckpt.assignments = *view.assignments;
+    ckpt.upper_bounds = detail::checkpoint_bounds(view);
+    if (view.sums != nullptr) {
+      ckpt.sums = *view.sums;
+      ckpt.counts = *view.counts;
+    }
+    save_checkpoint(sem_opts_.checkpoint_path, ckpt);
+    return true;
+  }
+
+ private:
+  const SemOptions& sem_opts_;
 };
 
 DenseMatrix sem_init_centroids(PageFile& file, IoEngine& engine,
@@ -111,14 +385,10 @@ DenseMatrix sem_init_centroids(PageFile& file, IoEngine& engine,
 
 Result kmeans(const std::string& path, const Options& opts,
               const SemOptions& sem_opts, SemStats* stats) {
-  // Per-run registry slice (DESIGN.md §10), diffed around the whole run.
+  // knors's registry slice (DESIGN.md §10) spans the whole call, the page
+  // file's open and init's fetches included, not only the loop's.
   obs::Registry& reg = obs::Registry::global();
   const obs::Snapshot obs_before = reg.snapshot();
-  // Demand-side I/O wait as seen by one worker: each blocking fetch_rows
-  // call is one sample. Timing-class, like every latency.
-  obs::Histogram& io_wait_us =
-      reg.histogram("sem.io_wait_us", obs::Det::kTiming);
-  const kernels::Ops& K = kernels::ops_for(opts.simd);
   PageFile file(path, sem_opts.page_size, sem_opts.ssd);
   const index_t n = file.n();
   const index_t d = file.d();
@@ -142,435 +412,64 @@ Result kmeans(const std::string& path, const Options& opts,
                      page_cache.capacity_pages() * sem_opts.page_size);
   ScopedAlloc mem_rc("sem-row-cache", use_rc ? row_cache.bytes() : 0);
 
-  Result res;
-  res.assignments.assign(static_cast<std::size_t>(n), kInvalidCluster);
-  ScopedAlloc mem_assign("assignments",
-                         res.assignments.size() * sizeof(cluster_t));
-
   // Resume from a lightweight checkpoint when requested (recovery path of
   // FlashGraph-style failure tolerance). Falls through to a fresh start
   // when no checkpoint exists yet.
-  Checkpoint restored;
-  bool resumed = false;
+  detail::ResumeState resume;
+  DenseMatrix initial;
   if (sem_opts.resume && !sem_opts.checkpoint_path.empty() &&
       checkpoint_exists(sem_opts.checkpoint_path)) {
-    restored = load_checkpoint(sem_opts.checkpoint_path);
+    Checkpoint restored = load_checkpoint(sem_opts.checkpoint_path);
     if (restored.n() != n || restored.k() != k ||
         restored.centroids.cols() != d)
       throw std::runtime_error(
           "sem::kmeans: checkpoint shape does not match dataset/options");
-    if (opts.prune && restored.upper_bounds.empty())
-      throw std::runtime_error(
-          "sem::kmeans: checkpoint lacks MTI state but pruning is on");
-    // knors applies membership deltas to persistent sums in both modes, so
-    // resuming without them would restart the centroids from zero sums.
-    if (restored.sums.rows() != static_cast<index_t>(k) ||
-        restored.sums.cols() != d)
-      throw std::runtime_error(
-          "sem::kmeans: checkpoint lacks the sums block (k x d)");
-    if (restored.counts.size() != static_cast<std::size_t>(k))
-      throw std::runtime_error(
-          "sem::kmeans: checkpoint lacks the counts block (k)");
-    resumed = true;
+    // With MTI the loop applies membership deltas to persistent sums, so
+    // a resume needs the bounds and the sums; without MTI it rebuilds the
+    // sums every iteration and needs neither.
+    if (opts.prune) {
+      if (restored.upper_bounds.empty())
+        throw std::runtime_error(
+            "sem::kmeans: checkpoint lacks MTI state but pruning is on");
+      if (restored.sums.rows() != static_cast<index_t>(k) ||
+          restored.sums.cols() != d)
+        throw std::runtime_error(
+            "sem::kmeans: checkpoint lacks the sums block (k x d)");
+      if (restored.counts.size() != static_cast<std::size_t>(k))
+        throw std::runtime_error(
+            "sem::kmeans: checkpoint lacks the counts block (k)");
+      resume.upper_bounds = std::move(restored.upper_bounds);
+      resume.sums = std::move(restored.sums);
+      resume.counts = std::move(restored.counts);
+    }
+    resume.iteration = restored.iteration;
+    resume.assignments = std::move(restored.assignments);
+    initial = std::move(restored.centroids);
+  } else {
+    initial = sem_init_centroids(file, engine, opts);
   }
-
-  DenseMatrix cur = resumed ? std::move(restored.centroids)
-                            : sem_init_centroids(file, engine, opts);
-  DenseMatrix prev(static_cast<index_t>(k), d);
-  // Padded centroid tile for the blocked full-scan kernel; repacked on the
-  // driver thread before each iteration's super-phase.
-  kernels::CentroidPack pack;
-  if (resumed) res.assignments = std::move(restored.assignments);
-
-  MtiState mti;
-  if (opts.prune) {
-    mti = MtiState(n, k);
-    // prev == empty: drift 0. Restored bounds were pre-loosened against the
-    // checkpointed centroids, so drift 0 keeps them valid.
-    mti.prepare(DenseMatrix{}, cur, K);
-    if (resumed)
-      for (index_t i = 0; i < n; ++i)
-        mti.set_ub(i, restored.upper_bounds[static_cast<std::size_t>(i)]);
-  }
-  ScopedAlloc mem_mti("mti-state", opts.prune ? mti.bytes() : 0);
-
-  // Persistent centroid accumulators (sums/counts), updated by deltas.
-  DenseMatrix sums(static_cast<index_t>(k), d);
-  std::vector<std::int64_t> counts(static_cast<std::size_t>(k), 0);
-  if (resumed) {
-    sums = std::move(restored.sums);
-    counts = std::move(restored.counts);
-  }
-  const int start_iter = resumed ? static_cast<int>(restored.iteration) : 0;
 
   numa::Partitioner parts(n, T, topo);
   sched::Scheduler sched(T, topo, /*bind=*/opts.numa_bind, opts.sched);
+  // Like knori's, the accumulation is keyed to the (n, task_size) chunk
+  // grid rather than to threads, so knors results are bitwise invariant to
+  // steal order and thread count (DESIGN.md §7). I/O-completion work stays
+  // on the same queues: a worker that finishes its node's chunks steals
+  // I/O-feeding chunks from the cheapest remote node.
   const index_t task_size =
       sched::Scheduler::resolve_task_size(n, opts.task_size);
-  const auto chunks =
-      static_cast<std::size_t>(sched::Scheduler::num_chunks(n, task_size));
-
-  // Per-chunk membership deltas, applied to the persistent sums in chunk
-  // order: like knori, the accumulation is keyed to the (n, task_size)
-  // chunk grid rather than to threads, so knors results are bitwise
-  // invariant to steal order and thread count (DESIGN.md §7). I/O-
-  // completion work stays on the same queues: a worker that finishes its
-  // node's chunks steals I/O-feeding chunks from the cheapest remote node.
-  ChunkAccum<SignedCentroids> deltas(chunks, k, d);
-  std::vector<SemPerThread> per_thread(static_cast<std::size_t>(T));
-  if (opts.prune)
-    for (auto& pt : per_thread) {
-      pt.cand.resize(static_cast<std::size_t>(k));
-      pt.cand_sq.resize(static_cast<std::size_t>(k));
-    }
-
-  // The chunk grid cut at home-partition boundaries, in row order: chunk c
-  // owns segments [chunk_segs[c], chunk_segs[c + 1]). A refresh ranks each
-  // partition's active rows through it (DESIGN.md §4): seg_rank[s] is the
-  // rank of segment s's first active row, part_active[p] is partition p's
-  // active-row count.
-  std::vector<Segment> segs;
-  std::vector<std::size_t> chunk_segs;
-  chunk_segs.reserve(chunks + 1);
-  for (index_t begin = 0; begin < n; begin += task_size) {
-    chunk_segs.push_back(segs.size());
-    const index_t end = std::min(n, begin + task_size);
-    for (index_t r = begin; r < end;) {
-      const int home = parts.thread_of_row(r);
-      const index_t seg_end = std::min(end, parts.thread_rows(home).end);
-      segs.push_back({r, seg_end, home});
-      r = seg_end;
-    }
-  }
-  chunk_segs.push_back(segs.size());
-  std::vector<std::uint64_t> seg_rank(use_rc ? segs.size() : 0);
-  std::vector<std::uint64_t> part_active(static_cast<std::size_t>(T));
-
   const index_t batch_rows =
       sem_opts.io_batch_rows == 0 ? 2048 : sem_opts.io_batch_rows;
-
-  // Per-iteration baselines for the device/engine monotonic counters.
-  engine.reset_stats();
-  file.reset_stats();
-  std::uint64_t last_requested = 0;
-  std::uint64_t last_read = 0;
-  std::uint64_t last_reqs = 0;
-  // Run totals of the workers' per-iteration demand-side tallies.
-  std::uint64_t run_active = 0;
-  std::uint64_t run_rc_hits = 0;
-
-  const auto tol_changes =
-      static_cast<std::uint64_t>(opts.tolerance * static_cast<double>(n));
-  bool refresh_mode = false;
-
-  // MTI clause 1 for row r: true when its assignment provably stands this
-  // iteration (no I/O, no compute); `loosened` receives the row's loosened
-  // bound. Writes nothing, so the refresh count and pass 1 decide alike.
-  const auto clause1 = [&](index_t r, value_t& loosened) {
-    const cluster_t a = res.assignments[r];
-    if (!opts.prune || a == kInvalidCluster) return false;
-    loosened = mti.ub(r) + mti.drift(a);
-    return mti.clause1(a, loosened);
-  };
-
-  // Assign + accumulate for one fetched (or cached) row; `chunk` selects
-  // the deterministic accumulator slot of the task being processed.
-  const auto process_row = [&](int tid, std::uint32_t chunk, index_t r,
-                               const value_t* v) {
-    auto& pt = per_thread[static_cast<std::size_t>(tid)];
-    const cluster_t a = res.assignments[r];
-    cluster_t best;
-    value_t best_d;
-    if (opts.prune && a != kInvalidCluster) {
-      // Clauses 2 and 3 and the argmin: MTI's one pruned-row routine.
-      const value_t loosened = mti.ub(r) + mti.drift(a);
-      const PrunedNearest won = mti.nearest_pruned(
-          v, a, loosened, pack, K, pt.cand.data(), pt.cand_sq.data(),
-          pt.counters);
-      best = won.best;
-      best_d = won.best_d;
-    } else {
-      value_t best_sq = 0;
-      best = K.nearest_blocked(v, pack, &best_sq);
-      best_d = std::sqrt(best_sq);  // the MTI upper bound is a true distance
-      pt.counters.dist_computations += static_cast<std::uint64_t>(k);
-    }
-    if (opts.prune) mti.set_ub(r, best_d);
-    if (a == kInvalidCluster) {
-      deltas.touch(chunk).add(best, v);
-      ++pt.changed;
-    } else if (best != a) {
-      auto& delta = deltas.touch(chunk);
-      delta.sub(a, v);
-      delta.add(best, v);
-      ++pt.changed;
-    }
-    res.assignments[r] = best;
-  };
-
-  const std::uint64_t rows_per_part = row_cache.rows_per_part();
-  const auto worker = [&](int tid) {
-    auto& pt = per_thread[static_cast<std::size_t>(tid)];
-    pt.changed = 0;
-    pt.active = 0;
-    pt.rc_hits = 0;
-
-    if (refresh_mode) {
-      // Rank the active rows before any chunk is claimed: count each
-      // segment's clause-1 survivors (a static split of the segments),
-      // then one thread turns the counts into first ranks per partition.
-      const std::size_t S = segs.size();
-      const auto ut = static_cast<std::size_t>(tid);
-      const auto uT = static_cast<std::size_t>(T);
-      for (std::size_t s = S * ut / uT; s < S * (ut + 1) / uT; ++s) {
-        std::uint64_t count = 0;
-        value_t loosened;
-        for (index_t r = segs[s].begin; r < segs[s].end; ++r)
-          if (!clause1(r, loosened)) ++count;
-        seg_rank[s] = count;
-      }
-      sched.barrier().arrive_and_wait();
-      if (tid == 0) {
-        std::fill(part_active.begin(), part_active.end(), 0);
-        for (std::size_t s = 0; s < S; ++s) {
-          std::uint64_t& total =
-              part_active[static_cast<std::size_t>(segs[s].home)];
-          const std::uint64_t count = seg_rank[s];
-          seg_rank[s] = total;
-          total += count;
-        }
-      }
-      sched.barrier().arrive_and_wait();
-    }
-
-    std::vector<index_t> needed;
-    std::vector<index_t> to_fetch;
-    std::vector<StageSlot> fetch_slots;  // refresh only: one per to_fetch
-    std::vector<index_t> fetch_now, fetch_next;
-    DenseMatrix buf_now(batch_rows, d), buf_next(batch_rows, d);
-
-    sched::Task task;
-    while (sched.next_chunk(tid, task)) {
-      // Pass 1 — no data access: clause 1 decides which rows need I/O.
-      needed.clear();
-      for (index_t r = task.begin; r < task.end; ++r) {
-        value_t loosened;
-        if (clause1(r, loosened)) {
-          mti.set_ub(r, loosened);
-          ++pt.counters.clause1_skips;
-          continue;  // assignment provably unchanged: no I/O, no compute
-        }
-        needed.push_back(r);
-      }
-      pt.active += needed.size();
-
-      // Row-cache pass, one segment at a time: a merge walk of the
-      // segment's ascending active rows against its home partition's
-      // ascending published ids serves hits now and queues the rest. In a
-      // refresh, an active row whose rank fits the budget is staged.
-      to_fetch.clear();
-      fetch_slots.clear();
-      auto next = needed.cbegin();
-      for (std::size_t s = chunk_segs[task.chunk];
-           s < chunk_segs[task.chunk + 1]; ++s) {
-        const Segment& seg = segs[s];
-        const RowCache::Slab pub = row_cache.published(seg.home);
-        const index_t* const pub_end = pub.ids + pub.size;
-        const index_t* hit = std::lower_bound(pub.ids, pub_end, seg.begin);
-        std::uint64_t rank = refresh_mode ? seg_rank[s] : 0;
-        for (; next != needed.cend() && *next < seg.end; ++next, ++rank) {
-          const index_t r = *next;
-          while (hit != pub_end && *hit < r) ++hit;
-          if (hit != pub_end && *hit == r) {
-            const value_t* cached =
-                pub.rows + static_cast<std::size_t>(hit - pub.ids) * d;
-            ++pt.rc_hits;
-            process_row(tid, task.chunk, r, cached);
-            if (refresh_mode && rank < rows_per_part)
-              row_cache.stage(seg.home, rank, r, cached);
-          } else {
-            to_fetch.push_back(r);
-            if (refresh_mode) fetch_slots.push_back({seg.home, rank});
-          }
-        }
-      }
-
-      // Double-buffered fetch: prefetch batch i+1 while processing batch i.
-      std::size_t pos = 0;
-      const auto take_batch = [&](std::vector<index_t>& dst) {
-        dst.clear();
-        const std::size_t end =
-            std::min(to_fetch.size(), pos + static_cast<std::size_t>(batch_rows));
-        dst.assign(to_fetch.begin() + static_cast<std::ptrdiff_t>(pos),
-                   to_fetch.begin() + static_cast<std::ptrdiff_t>(end));
-        pos = end;
-      };
-      std::size_t now_at = 0;  // fetch_now[0]'s index in to_fetch
-      take_batch(fetch_now);
-      while (!fetch_now.empty()) {
-        take_batch(fetch_next);
-        IoEngine::Ticket ticket;
-        if (!fetch_next.empty()) ticket = engine.prefetch(fetch_next);
-        {
-          const std::uint64_t t0 = obs::Tracer::now_us();
-          engine.fetch_rows(fetch_now, buf_now.data());
-          io_wait_us.record(obs::Tracer::now_us() - t0);
-        }
-        for (std::size_t i = 0; i < fetch_now.size(); ++i) {
-          const index_t r = fetch_now[i];
-          const value_t* v = buf_now.row(static_cast<index_t>(i));
-          process_row(tid, task.chunk, r, v);
-          if (refresh_mode) {
-            const StageSlot& slot = fetch_slots[now_at + i];
-            if (slot.rank < rows_per_part)
-              row_cache.stage(slot.part, slot.rank, r, v);
-          }
-        }
-        now_at += fetch_now.size();
-        ticket.wait();
-        std::swap(fetch_now, fetch_next);
-      }
-    }
-  };
-
-  for (int it = start_iter; it < opts.max_iters; ++it) {
-    WallTimer timer;
-    pack.pack(cur);
-    refresh_mode = use_rc && row_cache.begin_iteration(it + 1) ==
-                                 RowCache::Mode::kRefresh;
-    sched.begin_chunks(n, task_size, &parts);
-    {
-      obs::Span span_assign("assign");
-      sched.run(worker);
-    }
-    if (refresh_mode) row_cache.publish(part_active);
-    obs::Span span_update("update");
-
-    // Apply the dirty chunk deltas to the persistent sums in ascending
-    // chunk order (fixed, thread-count-independent association), then
-    // recompute means.
-    for (std::size_t c = 0; c < chunks; ++c)
-      if (deltas.dirty(c)) deltas.slot(c).apply_to(sums.data(), counts.data());
-    deltas.next_iteration();
-    std::memcpy(prev.data(), cur.data(), cur.size() * sizeof(value_t));
-    res.cluster_sizes =
-        finalize_sums(sums.data(), counts.data(), k, d, cur, prev);
-    if (opts.prune) mti.prepare(prev, cur, K);
-
-    std::uint64_t changed = 0;
-    std::uint64_t active = 0;
-    std::uint64_t rc_hits = 0;
-    for (const auto& pt : per_thread) {
-      changed += pt.changed;
-      active += pt.active;
-      rc_hits += pt.rc_hits;
-    }
-    run_active += active;
-    run_rc_hits += rc_hits;
-    if (stats != nullptr) {
-      IterIo io;
-      io.bytes_requested = engine.bytes_requested() - last_requested;
-      io.bytes_read = file.bytes_read() - last_read;
-      io.device_requests = file.read_requests() - last_reqs;
-      io.row_cache_hits = rc_hits;
-      io.active_rows = active;
-      stats->per_iter.push_back(io);
-    }
-    last_requested = engine.bytes_requested();
-    last_read = file.bytes_read();
-    last_reqs = file.read_requests();
-
-    res.iter_times.record(timer.elapsed());
-    ++res.iters;
-
-    if (!sem_opts.checkpoint_path.empty() &&
-        sem_opts.checkpoint_interval > 0 &&
-        (it + 1) % sem_opts.checkpoint_interval == 0) {
-      Checkpoint ckpt;
-      ckpt.iteration = static_cast<std::uint64_t>(it + 1);
-      ckpt.centroids = cur;
-      ckpt.assignments = res.assignments;
-      if (opts.prune) {
-        // Store bounds pre-loosened against the *current* centroids so the
-        // resume path can start with drift 0 and stay exact.
-        ckpt.upper_bounds.resize(static_cast<std::size_t>(n));
-        for (index_t i = 0; i < n; ++i)
-          ckpt.upper_bounds[static_cast<std::size_t>(i)] =
-              mti.ub(i) + mti.drift(res.assignments[i]);
-      }
-      ckpt.sums = sums;
-      ckpt.counts = counts;
-      save_checkpoint(sem_opts.checkpoint_path, ckpt);
-    }
-
-    if (changed <= tol_changes) {
-      res.converged = true;
-      break;
-    }
-  }
-
-  // Steal statistics before the energy pass reuses the queues.
-  const sched::StealStats steals = sched.total_stats();
-
-  // Exact final energy: stream every row once (not counted in iteration
-  // I/O statistics). Per-chunk partial energies summed in chunk order keep
-  // the FP result thread-count independent like the centroid reduction.
-  {
-    obs::Span span_energy("energy");
-    std::vector<double> chunk_energy(chunks, 0.0);
-    sched.begin_chunks(n, task_size, &parts);
-    sched.run([&](int tid) {
-      DenseMatrix buf(batch_rows, d);
-      std::vector<index_t> batch;
-      sched::Task task;
-      while (sched.next_chunk(tid, task)) {
-        double e = 0.0;
-        for (index_t begin = task.begin; begin < task.end;
-             begin += batch_rows) {
-          const index_t end = std::min(task.end, begin + batch_rows);
-          batch.clear();
-          for (index_t r = begin; r < end; ++r) batch.push_back(r);
-          engine.fetch_rows(batch, buf.data());
-          for (index_t r = begin; r < end; ++r)
-            e += K.dist_sq(buf.row(r - begin), cur.row(res.assignments[r]),
-                           d);
-        }
-        chunk_energy[task.chunk] = e;
-      }
-    });
-    for (const double e : chunk_energy) res.energy += e;
-  }
-
-  for (const auto& pt : per_thread) res.counters += pt.counters;
-  res.counters.tasks_own = steals.own;
-  res.counters.tasks_same_node = steals.same_node;
-  res.counters.tasks_remote_node = steals.remote_node;
-
-  // Publish the run's SEM counters (classification per the SemStats
-  // contract in sem_kmeans.hpp): demand-side request volume, row-cache
-  // hits and clause-1 active-row counts are pure functions of
-  // (data, opts); supply-side page traffic races on which worker faults a
-  // shared page first, so page-cache hits/misses, device bytes and request
-  // counts are timing-class.
-  using obs::Det;
-  reg.counter("sem.bytes_requested", Det::kDeterministic)
-      .add(engine.bytes_requested());
-  reg.counter("sem.active_rows", Det::kDeterministic).add(run_active);
-  reg.counter("sem.row_cache_hits", Det::kDeterministic).add(run_rc_hits);
-  reg.counter("sem.bytes_read", Det::kTiming).add(file.bytes_read());
-  reg.counter("sem.device_requests", Det::kTiming)
-      .add(file.read_requests());
-  reg.counter("sem.page_cache_hits", Det::kTiming).add(engine.page_hits());
-  reg.counter("sem.page_cache_misses", Det::kTiming)
-      .add(engine.page_misses());
-  // Core counter parity (core/run_metrics.hpp): the SEM engine's distance
-  // and pruning work must show up under the same core.* names as the
-  // in-memory engines, so --metrics agrees with Result::counters here too.
-  // This also covers the sched.tasks_* names from res.counters.
-  knor::detail::publish_run_counters(res);
+  SemSource src(engine, file, row_cache, use_rc, parts, sched, task_size,
+                batch_rows, stats);
+  CheckpointObserver checkpoints(sem_opts);
+  const bool checkpointing = !sem_opts.checkpoint_path.empty() &&
+                             sem_opts.checkpoint_interval > 0;
+  Result res = detail::run_parallel_lloyd(
+      src, n, d, opts, std::move(initial), sched, parts, nullptr,
+      resume.iteration > 0 ? &resume : nullptr,
+      checkpointing ? &checkpoints : nullptr);
   res.metrics = obs::diff(obs_before, reg.snapshot());
-
-  res.centroids = std::move(cur);
   return res;
 }
 

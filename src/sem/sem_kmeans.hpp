@@ -8,9 +8,11 @@
 // lazily-updated row cache, then the page cache, then merged-extent reads
 // from the device, with batch prefetch overlapping I/O and compute.
 //
-// Centroids are maintained incrementally: persistent global sums/counts
-// receive per-thread deltas (join/leave) from points that changed
-// membership, so unchanged points contribute neither I/O nor computation.
+// The iteration is knori's loop (detail::run_parallel_lloyd, DESIGN.md §7)
+// over a row source that serves each chunk's clause-1 survivors in row
+// order, so knors returns knori's exact bits. With MTI, centroids are
+// maintained incrementally: persistent sums/counts receive membership
+// deltas, so unchanged points contribute neither I/O nor computation.
 #pragma once
 
 #include <cstdint>

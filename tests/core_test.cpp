@@ -6,10 +6,12 @@
 #include <cmath>
 #include <initializer_list>
 #include <set>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "core/distance.hpp"
+#include "core/engine_impl.hpp"
 #include "core/engines.hpp"
 #include "core/init.hpp"
 #include "core/knori.hpp"
@@ -455,6 +457,53 @@ TEST(Knori, CountersAreConsistent) {
   EXPECT_GT(res.counters.clause1_skips, 0u);
   // Scheduler stats cover all tasks.
   EXPECT_GT(res.counters.tasks_own, 0u);
+}
+
+/// A row source whose rows fail to load on one chunk of one iteration, as
+/// a knors row whose pread fails does.
+struct FailingSource : detail::MemorySource<detail::FlatData> {
+  using Base = detail::MemorySource<detail::FlatData>;
+  int iteration = -1;
+
+  void begin_iteration(int it) { iteration = it; }
+  template <typename Skip, typename Visit>
+  void for_chunk(int tid, const sched::Task& task, Counters& cnt, Skip&& skip,
+                 Visit&& visit) const {
+    if (iteration == 2 && task.chunk == 5)
+      throw std::runtime_error("row source: read failed");
+    Base::for_chunk(tid, task, cnt, skip, visit);
+  }
+};
+
+TEST(ParallelLloyd, RowSourceErrorReachesTheCaller) {
+  // The failing worker's siblings wait for it in the iteration's barriers;
+  // the loop must still return and report the error, not hang.
+  data::GeneratorSpec spec;
+  spec.n = 3000;
+  spec.d = 4;
+  spec.true_clusters = 5;
+  const DenseMatrix m = data::generate(spec);
+  for (const bool prune : {true, false}) {
+    Options opts;
+    opts.k = 5;
+    opts.max_iters = 10;
+    opts.task_size = 256;  // 12 chunks
+    opts.prune = prune;
+    const int T = 3;
+    const auto topo = numa::Topology::simulated(2);
+    numa::Partitioner parts(m.rows(), T, topo);
+    sched::Scheduler sched(T, topo, /*bind=*/false, opts.sched);
+    const detail::FlatData flat{m.const_view()};
+    FailingSource src{{flat, parts, m.cols()}};
+    DenseMatrix initial(static_cast<index_t>(opts.k), m.cols());
+    for (index_t c = 0; c < initial.rows(); ++c)
+      for (index_t j = 0; j < m.cols(); ++j) initial.at(c, j) = m.at(c, j);
+    EXPECT_THROW(detail::run_parallel_lloyd(src, m.rows(), m.cols(), opts,
+                                            std::move(initial), sched, parts),
+                 std::runtime_error)
+        << "prune=" << prune;
+    EXPECT_EQ(src.iteration, 2) << "prune=" << prune;
+  }
 }
 
 TEST(Minibatch, ReducesEnergyTowardExact) {

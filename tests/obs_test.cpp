@@ -4,10 +4,13 @@
 // strip-diff contract — the deterministic half of an engine run's metrics
 // is bit-identical across repeated runs at T=1 and T=4.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
 #include <functional>
 #include <random>
 #include <stdexcept>
@@ -295,14 +298,24 @@ TEST(ObsCounterParity, MetricsAgreeWithResultCountersForEveryEngine) {
   std::vector<cluster_t> labels(m.rows(), kInvalidCluster);
   for (index_t r = 0; r < m.rows(); r += 5)
     labels[r] = static_cast<cluster_t>((r / 5) % 4);
+  const std::string kmat =
+      (std::filesystem::temp_directory_path() /
+       ("knor_obs_parity_" + std::to_string(::getpid()) + ".kmat"))
+          .string();
+  data::write_matrix(kmat, m);
 
   struct Case {
     const char* name;
     std::function<Result()> run;
-    bool full_scan;  ///< runs on the full-scan skeleton (core/lloyd_loop.hpp)
+    /// Runs on a chunk-grid loop: the full-scan skeleton
+    /// (core/lloyd_loop.hpp) or the pruned-engine loop
+    /// (core/engine_impl.hpp).
+    bool chunked;
   };
   const std::vector<Case> cases = {
-      {"knori", [&] { return kmeans(m.const_view(), opts); }, false},
+      {"knori", [&] { return kmeans(m.const_view(), opts); }, true},
+      {"knors",
+       [&] { return sem::kmeans(kmat, opts, sem::SemOptions{}); }, true},
       {"gemm", [&] { return gemm_kmeans(m.const_view(), opts); }, true},
       {"serial", [&] { return lloyd_serial(m.const_view(), opts); }, false},
       {"locked", [&] { return lloyd_locked(m.const_view(), opts); }, false},
@@ -334,9 +347,9 @@ TEST(ObsCounterParity, MetricsAgreeWithResultCountersForEveryEngine) {
               static_cast<std::int64_t>(res.counters.tasks_own))
         << c.name;
     EXPECT_GT(res.counters.dist_computations, 0u) << c.name;
-    if (!c.full_scan) continue;
-    // The skeleton's phases, per-worker busy time and claim counts: one
-    // claim per chunk per iteration, the final energy pass claims none.
+    if (!c.chunked) continue;
+    // The loop's phases, per-worker busy time and claim counts: one claim
+    // per chunk per iteration, the final energy pass claims none.
     for (const char* phase : {"phase.assign", "phase.update", "phase.energy"})
       EXPECT_NE(res.metrics.find(phase), nullptr) << c.name << " " << phase;
     EXPECT_EQ(res.thread_busy_s.size(),
@@ -347,6 +360,7 @@ TEST(ObsCounterParity, MetricsAgreeWithResultCountersForEveryEngine) {
               res.iters * chunks)
         << c.name;
   }
+  std::remove(kmat.c_str());
 }
 
 #else  // KNOR_NO_OBS

@@ -545,14 +545,26 @@ TEST_P(KnorsConfig, MatchesKnoriClustering) {
   SemStats stats;
   const Result res = kmeans(path, opts, sopts, &stats);
 
+  // knors runs knori's loop and hands it the same rows in the same order,
+  // so every bit and every algorithmic counter agrees.
   EXPECT_EQ(res.iters, ref.iters);
   EXPECT_EQ(res.converged, ref.converged);
-  const double rel = std::abs(res.energy - ref.energy) / ref.energy;
-  EXPECT_LT(rel, 1e-9);
   std::size_t mismatched = 0;
   for (std::size_t i = 0; i < ref.assignments.size(); ++i)
     if (res.assignments[i] != ref.assignments[i]) ++mismatched;
   EXPECT_EQ(mismatched, 0u);
+  ASSERT_EQ(res.centroids.rows(), ref.centroids.rows());
+  ASSERT_EQ(res.centroids.cols(), ref.centroids.cols());
+  EXPECT_EQ(std::memcmp(res.centroids.data(), ref.centroids.data(),
+                        ref.centroids.size() * sizeof(value_t)),
+            0);
+  EXPECT_EQ(std::memcmp(&res.energy, &ref.energy, sizeof(double)), 0)
+      << res.energy << " vs " << ref.energy;
+  EXPECT_EQ(res.cluster_sizes, ref.cluster_sizes);
+  EXPECT_EQ(res.counters.dist_computations, ref.counters.dist_computations);
+  EXPECT_EQ(res.counters.clause1_skips, ref.counters.clause1_skips);
+  EXPECT_EQ(res.counters.clause2_skips, ref.counters.clause2_skips);
+  EXPECT_EQ(res.counters.clause3_skips, ref.counters.clause3_skips);
   EXPECT_EQ(stats.per_iter.size(), res.iters);
 }
 

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 
 #include "core/knori.hpp"
@@ -312,9 +313,51 @@ TEST_F(CheckpointTest, ShapeMismatchRejectedOnResume) {
   EXPECT_THROW(sem::kmeans(matrix, wrong_k, resume_opts), std::runtime_error);
 }
 
-// knors accumulates membership deltas against persistent sums in both
-// prune modes, so a checkpoint without its sums and counts cannot resume:
-// it would restart the centroids from zero sums.
+// knors checkpoints at the loop's iteration boundaries, and the loop calls
+// its observer on every boundary but the converging one: a run that
+// converges at a due iteration writes no checkpoint there, so the last one
+// on disk is the boundary before. Resuming from it replays the converging
+// iteration to the same bits.
+TEST_F(CheckpointTest, ConvergingIterationWritesNoCheckpoint) {
+  data::GeneratorSpec spec;
+  spec.n = 2000;
+  spec.d = 4;
+  spec.true_clusters = 3;
+  const std::string matrix = dir_ / "m.kmat";
+  data::write_generated(matrix, spec);
+
+  for (const bool prune : {true, false}) {
+    Options opts;
+    opts.k = 3;
+    opts.threads = 2;
+    opts.max_iters = 100;
+    opts.prune = prune;
+    sem::SemOptions sopts;
+    sopts.checkpoint_path = dir_ / (prune ? "mti.ckpt" : "nomti.ckpt");
+    sopts.checkpoint_interval = 1;
+    const Result whole = sem::kmeans(matrix, opts, sopts);
+    ASSERT_TRUE(whole.converged) << "prune=" << prune;
+    ASSERT_GT(whole.iters, 1u) << "prune=" << prune;
+    const sem::Checkpoint ckpt = sem::load_checkpoint(sopts.checkpoint_path);
+    EXPECT_EQ(ckpt.iteration, whole.iters - 1) << "prune=" << prune;
+
+    sem::SemOptions resume_opts = sopts;
+    resume_opts.resume = true;
+    const Result last = sem::kmeans(matrix, opts, resume_opts);
+    EXPECT_TRUE(last.converged) << "prune=" << prune;
+    EXPECT_EQ(last.iters, 1u) << "prune=" << prune;
+    EXPECT_EQ(last.assignments, whole.assignments) << "prune=" << prune;
+    EXPECT_EQ(std::memcmp(last.centroids.data(), whole.centroids.data(),
+                          whole.centroids.size() * sizeof(value_t)),
+              0)
+        << "prune=" << prune;
+  }
+}
+
+// With MTI, knors accumulates membership deltas against persistent sums,
+// so a checkpoint without its sums and counts cannot resume: it would
+// restart the centroids from zero sums. (Without MTI the sums are rebuilt
+// every iteration; CheckpointResume/nomti covers that resume.)
 TEST_F(CheckpointTest, ResumeWithoutSumsRejected) {
   data::GeneratorSpec spec;
   spec.n = 500;
@@ -323,33 +366,31 @@ TEST_F(CheckpointTest, ResumeWithoutSumsRejected) {
   const std::string matrix = dir_ / "m.kmat";
   data::write_generated(matrix, spec);
 
-  for (const bool prune : {true, false}) {
-    Options opts;
-    opts.k = 3;
-    opts.threads = 2;
-    opts.max_iters = 4;
-    opts.prune = prune;
-    sem::SemOptions sopts;
-    sopts.checkpoint_path = dir_ / (prune ? "mti.ckpt" : "nomti.ckpt");
-    sopts.checkpoint_interval = 2;
-    sem::kmeans(matrix, opts, sopts);
+  Options opts;
+  opts.k = 3;
+  opts.threads = 2;
+  opts.max_iters = 4;
+  opts.prune = true;
+  sem::SemOptions sopts;
+  sopts.checkpoint_path = dir_ / "mti.ckpt";
+  sopts.checkpoint_interval = 2;
+  sem::kmeans(matrix, opts, sopts);
 
-    sem::Checkpoint ckpt = sem::load_checkpoint(sopts.checkpoint_path);
-    ASSERT_FALSE(ckpt.sums.empty());
-    ckpt.sums = DenseMatrix();
-    ckpt.counts.clear();
-    sem::save_checkpoint(sopts.checkpoint_path, ckpt);
+  sem::Checkpoint ckpt = sem::load_checkpoint(sopts.checkpoint_path);
+  ASSERT_FALSE(ckpt.sums.empty());
+  ckpt.sums = DenseMatrix();
+  ckpt.counts.clear();
+  sem::save_checkpoint(sopts.checkpoint_path, ckpt);
 
-    sem::SemOptions resume_opts = sopts;
-    resume_opts.resume = true;
-    opts.max_iters = 8;
-    try {
-      sem::kmeans(matrix, opts, resume_opts);
-      ADD_FAILURE() << "resumed without sums, prune=" << prune;
-    } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find("sums"), std::string::npos)
-          << e.what();
-    }
+  sem::SemOptions resume_opts = sopts;
+  resume_opts.resume = true;
+  opts.max_iters = 8;
+  try {
+    sem::kmeans(matrix, opts, resume_opts);
+    ADD_FAILURE() << "resumed without sums";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("sums"), std::string::npos)
+        << e.what();
   }
 }
 
