@@ -1,14 +1,17 @@
-// Bounded MPMC queue with backpressure — the admission substrate of the
-// serving front end (DESIGN.md §11).
+// Bounded MPMC queue with backpressure — the one producer/consumer
+// hand-off of the library (DESIGN.md §11). Its users:
+//   * serve::QueryFrontEnd admits client requests through it;
+//   * stream::AssignServer::assign_file runs its reader ring on two of
+//     them, a queue of free slot indices and a queue of filled ones;
+//   * sem::IoEngine's prefetch thread pops its staging requests from it.
 //
-// This generalizes the bounded I/O ring inside stream::AssignServer into a
-// reusable component: a fixed-capacity FIFO where the BOUND is the
-// backpressure. Producers that find the queue full either block until a
-// consumer frees a slot (ShedPolicy-style kBlock admission) or fail
-// immediately (kShed); consumers block until an item arrives or the queue
-// is closed AND drained. close() is the shutdown contract the stress tests
-// pin: it wakes every blocked producer (they return kClosed without
-// enqueuing) while letting consumers drain what was already admitted, so
+// A fixed-capacity FIFO where the BOUND is the backpressure. Producers
+// that find the queue full either block until a consumer frees a slot
+// (ShedPolicy-style kBlock admission) or fail immediately (kShed);
+// consumers block until an item arrives or the queue is closed AND
+// drained. close() is the shutdown contract the stress tests pin: it wakes
+// every blocked producer (they return kClosed without enqueuing) while
+// letting consumers drain what was already admitted, so
 // shutdown-with-queued-work can neither deadlock nor drop admitted items.
 //
 // Accounting is exact, not sampled: pushed/shed/blocked counters and the
@@ -16,9 +19,10 @@
 // so after the queue is quiescent they reconcile exactly (pushed ==
 // popped once drained; max_occupancy() <= capacity() always).
 //
-// A mutex + two condvars, not a lock-free ring: admission operates at
-// request granularity (thousands per second), not chunk granularity — the
-// scheduler's CAS deques stay where the per-chunk rates are.
+// A mutex + two condvars, not a lock-free ring: its users hand off at
+// request or batch granularity (thousands per second), not chunk
+// granularity — the scheduler's CAS deques stay where the per-chunk rates
+// are.
 #pragma once
 
 #include <condition_variable>
@@ -26,7 +30,7 @@
 #include <deque>
 #include <mutex>
 
-namespace knor::serve {
+namespace knor {
 
 template <typename T>
 class BoundedQueue {
@@ -142,4 +146,4 @@ class BoundedQueue {
   std::uint64_t pushed_ = 0, popped_ = 0, shed_ = 0, blocked_ = 0;
 };
 
-}  // namespace knor::serve
+}  // namespace knor

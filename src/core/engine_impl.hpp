@@ -22,7 +22,7 @@
 //       // (the loop rethrows after the iteration's barriers)
 //   void end_iteration();           // driver, after the super-phase's fold
 //   void for_energy(int tid, const sched::Task&, visit);  // every row
-//   void end_run(Result&);          // driver, once the result is complete,
+//   void end_run();                 // driver, once the result is complete,
 //                                   // before its counters publish
 //
 // One Scheduler::run per iteration executes the super-phase: workers drain
@@ -104,7 +104,7 @@ struct MemorySource {
   void for_energy(int tid, const sched::Task& task, Visit&& visit) const {
     walk(tid, task, nullptr, visit);
   }
-  void end_run(Result&) {}
+  void end_run() {}
 
   /// Walk the task's rows in segments that stay inside one thread block,
   /// so the base pointer and the local/remote classification hoist out of
@@ -503,7 +503,7 @@ Result run_parallel_lloyd(Source& src, index_t n, index_t d,
   res.counters.tasks_same_node = steals.same_node;
   res.counters.tasks_remote_node = steals.remote_node;
 
-  src.end_run(res);
+  src.end_run();
   // Publish the run's counters into the global registry — bulk adds at run
   // end through the shared mapping (core/run_metrics.hpp), so the hot loops
   // above keep their plain per-thread structs and --metrics agrees with

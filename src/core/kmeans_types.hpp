@@ -112,6 +112,9 @@ struct Counters {
 };
 
 struct Result {
+  /// Iterations of the whole run. A run resumed from a checkpoint counts
+  /// the restored iterations too, in every engine, so it reports what the
+  /// uninterrupted run would; iter_times holds only those this call ran.
   std::size_t iters = 0;
   bool converged = false;
   DenseMatrix centroids;                ///< k x d final means
@@ -144,8 +147,9 @@ struct Result {
   obs::Snapshot metrics;
 
   /// Modeled time per iteration on dedicated cores: the slowest worker's
-  /// compute plus the serial driver share. Falls back to wall time when no
-  /// per-thread data was recorded.
+  /// compute plus the serial driver share, over the iterations this call
+  /// timed (iter_times, not iters: a resumed run never ran the restored
+  /// ones). Falls back to wall time when no per-thread data was recorded.
   double makespan_per_iter() const;
 
   std::string summary() const;

@@ -70,11 +70,12 @@ Counters& Counters::operator+=(const Counters& o) {
 }
 
 double Result::makespan_per_iter() const {
-  if (iters == 0) return 0.0;
+  const std::size_t timed = iter_times.count();
+  if (timed == 0) return 0.0;
   if (thread_busy_s.empty()) return iter_times.mean();
   double slowest = 0.0;
   for (double busy : thread_busy_s) slowest = std::max(slowest, busy);
-  return (slowest + driver_serial_s) / static_cast<double>(iters);
+  return (slowest + driver_serial_s) / static_cast<double>(timed);
 }
 
 std::string Result::summary() const {

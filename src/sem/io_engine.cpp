@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
-#include <memory>
 
 namespace knor::sem {
 namespace {
@@ -14,28 +13,19 @@ constexpr std::uint64_t kNoPage = std::numeric_limits<std::uint64_t>::max();
 // ranges than this is probed once per group.
 constexpr std::size_t kMaxRanges = 64;
 
+// Queued prefetches. Each worker holds one ticket at a time, so the queue
+// holds at most one request per worker; past this many workers a
+// prefetch waits for the I/O thread to take one.
+constexpr std::size_t kPrefetchQueueDepth = 64;
+
 }  // namespace
-
-struct IoEngine::Ticket::State {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done = false;
-};
-
-void IoEngine::Ticket::wait() {
-  if (!state_) return;
-  std::unique_lock<std::mutex> lock(state_->mu);
-  state_->cv.wait(lock, [&] { return state_->done; });
-}
-
-struct IoEngine::Request {
-  std::vector<index_t> rows;
-  std::shared_ptr<Ticket::State> state;
-};
 
 IoEngine::IoEngine(PageFile& file, PageCache& cache, int io_threads,
                    std::uint32_t merge_gap)
-    : file_(file), cache_(cache), merge_gap_(merge_gap) {
+    : file_(file),
+      cache_(cache),
+      merge_gap_(merge_gap),
+      queue_(kPrefetchQueueDepth) {
   if (io_threads < 1) io_threads = 1;
   io_threads_.reserve(static_cast<std::size_t>(io_threads));
   for (int t = 0; t < io_threads; ++t)
@@ -43,11 +33,7 @@ IoEngine::IoEngine(PageFile& file, PageCache& cache, int io_threads,
 }
 
 IoEngine::~IoEngine() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  cv_.notify_all();
+  queue_.close();  // the I/O threads drain what is queued, then exit
   for (auto& t : io_threads_) t.join();
 }
 
@@ -162,36 +148,18 @@ void IoEngine::fetch_rows(const std::vector<index_t>& rows, value_t* out) {
 }
 
 IoEngine::Ticket IoEngine::prefetch(std::vector<index_t> rows) {
+  std::packaged_task<void()> stage(
+      [this, rows = std::move(rows)] { stage_pages(rows); });
   Ticket ticket;
-  ticket.state_ = std::make_shared<Ticket::State>();
-  Request req;
-  req.rows = std::move(rows);
-  req.state = ticket.state_;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(std::move(req));
-  }
-  cv_.notify_one();
+  ticket.done_ = stage.get_future();
+  queue_.push(std::move(stage), /*block=*/true);
   return ticket;
 }
 
 void IoEngine::io_loop() {
-  for (;;) {
-    Request req;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
-      if (stop_ && queue_.empty()) return;
-      req = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    stage_pages(req.rows);
-    {
-      std::lock_guard<std::mutex> lock(req.state->mu);
-      req.state->done = true;
-    }
-    req.state->cv.notify_all();
-  }
+  // A task keeps its staging failure for Ticket::wait() to rethrow.
+  std::packaged_task<void()> stage;
+  while (queue_.pop(stage)) stage();
 }
 
 }  // namespace knor::sem

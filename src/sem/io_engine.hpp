@@ -8,23 +8,22 @@
 //     coalesced into single extent reads, amortizing device requests.
 //   * Page cache integration: resident pages are served from PageCache;
 //     only missing extents hit the device.
-//   * Asynchrony: prefetch(rows) hands a batch to a dedicated I/O thread
-//     which stages the pages into the cache while the compute thread works
-//     on the previous batch; Ticket::wait() synchronizes.
+//   * Asynchrony: prefetch(rows) queues a batch (common/bounded_queue.hpp)
+//     for a dedicated I/O thread, which stages the pages into the cache
+//     while the compute thread works on the previous batch;
+//     Ticket::wait() synchronizes and rethrows a staging failure.
 //
 // The engine never keeps per-row state — row -> page geometry is computed
 // from the PageFile (the page_row design).
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <memory>
-#include <mutex>
+#include <future>
 #include <thread>
 #include <vector>
 
+#include "common/bounded_queue.hpp"
 #include "common/types.hpp"
 #include "sem/page_cache.hpp"
 #include "sem/page_file.hpp"
@@ -50,17 +49,20 @@ class IoEngine {
   /// Handle for an in-flight prefetch.
   class Ticket {
    public:
-    Ticket() = default;
-    /// Block until the batch's pages are staged in the page cache.
-    void wait();
+    /// Block until the batch's pages are staged in the page cache, and
+    /// rethrow the staging's error on the calling thread. A second call,
+    /// or a call on a default-constructed ticket, returns at once.
+    void wait() {
+      if (done_.valid()) done_.get();
+    }
 
    private:
     friend class IoEngine;
-    struct State;
-    std::shared_ptr<State> state_;
+    std::future<void> done_;
   };
 
-  /// Asynchronously stage the pages of `rows` into the page cache.
+  /// Asynchronously stage the pages of `rows` into the page cache. The
+  /// engine's destructor still stages every batch queued before it.
   Ticket prefetch(std::vector<index_t> rows);
 
   /// Total bytes of row data callers asked for (the "requested" series of
@@ -75,8 +77,6 @@ class IoEngine {
   std::uint64_t page_misses() const { return page_misses_.load(); }
 
  private:
-  struct Request;
-
   /// Load the missing pages of `rows` (merged extents) into the cache.
   void stage_pages(const std::vector<index_t>& rows);
   void io_loop();
@@ -88,10 +88,7 @@ class IoEngine {
   std::atomic<std::uint64_t> page_hits_{0};
   std::atomic<std::uint64_t> page_misses_{0};
 
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<Request> queue_;
-  bool stop_ = false;
+  BoundedQueue<std::packaged_task<void()>> queue_;
   std::vector<std::thread> io_threads_;
 };
 

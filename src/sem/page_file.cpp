@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "data/matrix_io.hpp"
 
@@ -43,10 +44,19 @@ std::size_t PageFile::read_pages(std::uint64_t first_page, std::uint32_t count,
     const ssize_t r = ::pread(fd_, buf + got, want - got,
                               static_cast<off_t>(offset + got));
     if (r < 0) throw std::runtime_error("PageFile: pread failed");
-    if (r == 0) break;  // EOF: final page partially populated
+    if (r == 0) break;  // EOF
     got += static_cast<std::size_t>(r);
   }
-  if (got < want) std::memset(buf + got, 0, want - got);
+  if (got < want) {
+    // Only the final page's tail past the matrix's end is padding; an EOF
+    // before it means the file shrank after it was opened.
+    if (offset + got < file_bytes_)
+      throw std::runtime_error("PageFile: short read at byte " +
+                               std::to_string(offset + got) + " of " +
+                               std::to_string(file_bytes_) +
+                               ": the file shrank after it was opened");
+    std::memset(buf + got, 0, want - got);
+  }
 
   bytes_read_.fetch_add(got, std::memory_order_relaxed);
   read_requests_.fetch_add(1, std::memory_order_relaxed);

@@ -53,9 +53,11 @@ class PageFile {
   }
 
   /// Read `count` pages starting at `first_page` into buf (count*page_size
-  /// bytes; the final page is zero-padded past EOF). One pread — callers
-  /// coalesce adjacent pages into extents to model SAFS request merging.
-  /// Thread-safe. Returns bytes read from the device.
+  /// bytes; the final page is zero-padded past the matrix's end). One
+  /// pread — callers coalesce adjacent pages into extents to model SAFS
+  /// request merging. Throws std::runtime_error when the file ends before
+  /// the matrix does (it shrank after it was opened). Thread-safe. Returns
+  /// bytes read from the device.
   std::size_t read_pages(std::uint64_t first_page, std::uint32_t count,
                          unsigned char* buf);
 

@@ -105,7 +105,6 @@ class SemSource {
   }
 
   void begin_iteration(int it) {
-    ++iterations_;
     refresh_ = use_rc_ && row_cache_.begin_iteration(it + 1) ==
                               RowCache::Mode::kRefresh;
   }
@@ -244,15 +243,13 @@ class SemSource {
     }
   }
 
-  /// knors's Result counts the iterations this call ran, not those of
-  /// the run it resumed. Then publish the run's SEM counters
-  /// (classification per the SemStats contract in sem_kmeans.hpp):
+  /// Publish the run's SEM counters (classification per the SemStats
+  /// contract in sem_kmeans.hpp):
   /// demand-side request volume, row-cache hits and clause-1 active-row
   /// counts are pure functions of (data, opts); supply-side page traffic
   /// races on which worker faults a shared page first, so page-cache
   /// hits/misses, device bytes and request counts are timing-class.
-  void end_run(Result& res) {
-    res.iters = iterations_;
+  void end_run() {
     using obs::Det;
     obs::Registry& reg = obs::Registry::global();
     reg.counter("sem.bytes_requested", Det::kDeterministic)
@@ -304,7 +301,6 @@ class SemSource {
   std::vector<std::uint64_t> seg_rank_;
   std::vector<std::uint64_t> part_active_;  ///< active rows per partition
   bool refresh_ = false;
-  std::size_t iterations_ = 0;  ///< iterations this call ran
   std::uint64_t last_requested_ = 0;
   std::uint64_t last_read_ = 0;
   std::uint64_t last_reqs_ = 0;

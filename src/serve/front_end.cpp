@@ -12,7 +12,7 @@
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
 #include "sched/scheduler.hpp"
-#include "serve/bounded_queue.hpp"
+#include "common/bounded_queue.hpp"
 
 namespace knor::serve {
 

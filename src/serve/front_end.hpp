@@ -2,7 +2,7 @@
 //
 // Many client sessions submit assignment and top-m nearest-centroid
 // requests against one frozen centroid set; the front end admits them
-// through a bounded MPMC queue (serve/bounded_queue.hpp — the bound is the
+// through a bounded MPMC queue (common/bounded_queue.hpp — the bound is the
 // backpressure; callers block or are shed per ShedPolicy), a dispatcher
 // thread coalesces queued requests into SIMD-blocked mega-batches, the
 // work-stealing scheduler computes each mega-batch with the blocked

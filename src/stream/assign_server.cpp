@@ -1,13 +1,12 @@
 #include "stream/assign_server.hpp"
 
 #include <algorithm>
-#include <condition_variable>
 #include <cstring>
-#include <mutex>
 #include <stdexcept>
 #include <thread>
 
 #include "common/aligned_buffer.hpp"
+#include "common/bounded_queue.hpp"
 #include "common/timer.hpp"
 #include "core/kernels/simd.hpp"
 #include "data/matrix_io.hpp"
@@ -121,7 +120,9 @@ AssignStats AssignServer::assign_file(const std::string& path,
                                       const Sink& sink) {
   if (aopts.batch_rows < 1)
     throw std::invalid_argument("assign: batch_rows must be >= 1");
-  const auto S = static_cast<std::size_t>(std::max(2, aopts.io_buffers));
+  if (aopts.io_buffers < 1)
+    throw std::invalid_argument("assign: io_buffers must be >= 1");
+  const auto S = static_cast<std::size_t>(aopts.io_buffers);
   const index_t d = impl_->centroids.cols();
 
   // Open the source up front on the calling thread so malformed files
@@ -168,29 +169,28 @@ AssignStats AssignServer::assign_file(const std::string& path,
                                        kCacheLine);
   }
 
-  std::mutex mu;
-  std::condition_variable cv_full, cv_free;
-  std::size_t produced = 0, consumed = 0;
-  bool reader_done = false;
-  bool abort = false;
+  // The ring: a slot index travels from `free_slots` to the reader, which
+  // fills the slot and passes it on in `filled_slots` to the assigner,
+  // which serves it and returns it to `free_slots`. The reader closes
+  // `filled_slots` when it is done or fails; the assigner closes both when
+  // it fails.
+  using SlotQueue = BoundedQueue<std::size_t>;
+  SlotQueue free_slots(S), filled_slots(S);
+  for (std::size_t s = 0; s < S; ++s) free_slots.push(s, /*block=*/true);
   std::exception_ptr reader_error;
   AssignStats stats;
   stats.batches = (n + batch_rows - 1) / batch_rows;
 
   std::thread reader([&] {
     try {
-      double stalled = 0;
       for (index_t begin = 0; begin < n; begin += batch_rows) {
         const index_t end = std::min(n, begin + batch_rows);
-        {
-          std::unique_lock<std::mutex> lock(mu);
-          const WallTimer wait;
-          cv_free.wait(lock,
-                       [&] { return produced - consumed < S || abort; });
-          stalled += wait.elapsed();
-          if (abort) break;
-        }
-        BatchSlot& slot = slots[produced % S];
+        std::size_t s = 0;
+        const WallTimer wait;
+        const bool got = free_slots.pop(s);
+        stats.io_stall_s += wait.elapsed();
+        if (!got) break;  // the assigner failed
+        BatchSlot& slot = slots[s];
         slot.first_row = begin;
         const index_t rows = end - begin;
         if (pf != nullptr) {
@@ -211,21 +211,13 @@ AssignStats AssignServer::assign_file(const std::string& path,
           rr->read(begin, end, out);
           slot.view = ConstMatrixView(slot.mat.data(), rows, d);
         }
-        {
-          std::lock_guard<std::mutex> lock(mu);
-          ++produced;
-        }
-        cv_full.notify_one();
+        if (filled_slots.push(s, /*block=*/true) != SlotQueue::Push::kOk)
+          break;  // the assigner failed
       }
-      std::lock_guard<std::mutex> lock(mu);
-      reader_done = true;
-      stats.io_stall_s = stalled;
     } catch (...) {
-      std::lock_guard<std::mutex> lock(mu);
       reader_error = std::current_exception();
-      reader_done = true;
     }
-    cv_full.notify_one();
+    filled_slots.close();
   });
 
   // Serving metrics (DESIGN.md §10; the substrate for the SLO stats of
@@ -243,20 +235,17 @@ AssignStats AssignServer::assign_file(const std::string& path,
       std::min<index_t>(n, batch_rows)));
   try {
     for (;;) {
-      {
-        std::unique_lock<std::mutex> lock(mu);
-        const WallTimer wait;
-        cv_full.wait(lock, [&] { return produced > consumed || reader_done; });
-        if (produced == consumed) {
-          // Nothing left to consume: this wait was for the reader's done
-          // (or error) announcement, not for data — charge it to the
-          // drain bucket, not the I/O-bound compute_wait signal.
-          stats.drain_s += wait.elapsed();
-          break;
-        }
-        stats.compute_wait_s += wait.elapsed();
+      std::size_t s = 0;
+      const WallTimer wait;
+      if (!filled_slots.pop(s)) {
+        // Nothing left to serve: this wait was for the reader's end (or
+        // error), not for data — the drain bucket, not the I/O-bound
+        // compute_wait signal.
+        stats.drain_s += wait.elapsed();
+        break;
       }
-      BatchSlot& slot = slots[consumed % S];
+      stats.compute_wait_s += wait.elapsed();
+      const BatchSlot& slot = slots[s];
       const index_t rows = slot.view.rows();
       const WallTimer work;
       {
@@ -268,18 +257,11 @@ AssignStats AssignServer::assign_file(const std::string& path,
       stats.rows += rows;
       if (sink) sink(slot.first_row, assignments.data(), rows);
       stats.compute_s += work.elapsed();
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        ++consumed;
-      }
-      cv_free.notify_one();
+      free_slots.push(s, /*block=*/true);
     }
   } catch (...) {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      abort = true;
-    }
-    cv_free.notify_one();
+    free_slots.close();
+    filled_slots.close();
     reader.join();
     throw;
   }

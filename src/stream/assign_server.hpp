@@ -8,9 +8,10 @@
 //
 //   * assign()      — one in-memory batch, parallel over rows.
 //   * assign_file() — an arbitrarily large on-disk .kmat query file,
-//     streamed through a bounded ring of I/O buffers: a reader thread
-//     prefetches batch i+1 (from data/matrix_io or a sem::PageFile) while
-//     the scheduler assigns batch i. The ring is the backpressure: when
+//     streamed through a bounded ring of I/O buffers (two queues of slot
+//     indices, common/bounded_queue.hpp): a reader thread prefetches batch
+//     i+1 (from data/matrix_io or a sem::PageFile) while the scheduler
+//     assigns batch i. The ring is the backpressure: when
 //     compute falls behind, the reader blocks on a free buffer instead of
 //     buffering the file in memory; memory stays O(io_buffers *
 //     batch_rows * d) no matter how large the file is.
@@ -44,8 +45,9 @@ struct AssignOptions {
   Source source = Source::kMatrixIo;
   /// Page size for Source::kPageFile.
   std::size_t page_size = 4096;
-  /// In-flight batch buffers (>= 2 overlaps I/O with compute; the bound is
-  /// what makes ingestion backpressured).
+  /// In-flight batch buffers, used as given: 1 reads and assigns in turn,
+  /// 2 or more overlap I/O with compute. The bound is what makes ingestion
+  /// backpressured. Values below 1 throw std::invalid_argument.
   int io_buffers = 2;
 };
 

@@ -69,7 +69,8 @@ INSTANTIATE_TEST_SUITE_P(
                       RuleCase{"kl002_set_isa.cpp", "KL002", 1},
                       RuleCase{"kl003_entropy.cpp", "KL003", 4},
                       RuleCase{"kl004_raw_alloc.cpp", "KL004", 2},
-                      RuleCase{"kl005_metric.cpp", "KL005", 2}),
+                      RuleCase{"kl005_metric.cpp", "KL005", 2},
+                      RuleCase{"kl006_condvar.cpp", "KL006", 2}),
     [](const ::testing::TestParamInfo<RuleCase>& info) {
       return std::string(info.param.rule);
     });

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <memory>
 #include <numeric>
 #include <random>
 #include <thread>
@@ -382,6 +383,106 @@ TEST_F(SemTest, IoEnginePageTalliesCountRowPagePieces) {
     EXPECT_EQ(engine.page_hits() - hits0, row_page_pieces(file, rows)) << d;
     EXPECT_EQ(engine.page_misses(), 0u) << d;
   }
+}
+
+// The page cache's contract through a prefetch (SNIPPETS.md §3): a cold
+// pass reads the device, a warm pass is served from the cache alone, and
+// after clear() the next pass reads the device again.
+TEST_F(SemTest, PrefetchColdWarmAndDroppedPasses) {
+  data::GeneratorSpec spec;
+  spec.n = 2000;
+  spec.d = 7;  // 56-byte rows: some straddle pages
+  const std::string path = make_matrix(spec);
+  const DenseMatrix m = data::generate(spec);
+  PageFile file(path, 4096);
+  PageCache cache(1 << 20, 4096, 2);
+  IoEngine engine(file, cache, 1);
+  std::vector<index_t> rows;
+  for (index_t r = 0; r < spec.n; r += 3) rows.push_back(r);
+  const std::uint64_t pieces = row_page_pieces(file, rows);
+  DenseMatrix out(static_cast<index_t>(rows.size()), spec.d);
+  struct Pass {
+    std::uint64_t bytes_read, hits, misses;
+  };
+  const auto pass = [&] {
+    const Pass before{file.bytes_read(), engine.page_hits(),
+                      engine.page_misses()};
+    engine.prefetch(rows).wait();
+    engine.fetch_rows(rows, out.data());
+    for (std::size_t i = 0; i < rows.size(); ++i)
+      EXPECT_EQ(out.at(static_cast<index_t>(i), 3), m.at(rows[i], 3)) << i;
+    return Pass{file.bytes_read() - before.bytes_read,
+                engine.page_hits() - before.hits,
+                engine.page_misses() - before.misses};
+  };
+  const Pass cold = pass();
+  EXPECT_GT(cold.bytes_read, 0u);
+  EXPECT_EQ(cold.hits, pieces);
+  const Pass warm = pass();
+  EXPECT_EQ(warm.bytes_read, 0u);
+  EXPECT_EQ(warm.hits, pieces);
+  EXPECT_EQ(warm.misses, 0u);
+  cache.clear();
+  const Pass dropped = pass();
+  EXPECT_EQ(dropped.bytes_read, cold.bytes_read);
+  EXPECT_EQ(dropped.hits, pieces);
+}
+
+// The engine's destructor stages every prefetch still queued and
+// completes its ticket.
+TEST_F(SemTest, IoEngineDestructorCompletesQueuedPrefetches) {
+  data::GeneratorSpec spec;
+  spec.n = 2000;
+  spec.d = 8;
+  const std::string path = make_matrix(spec);
+  PageFile file(path, 4096);
+  PageCache cache(1 << 20, 4096, 2);
+  std::vector<IoEngine::Ticket> tickets;
+  {
+    IoEngine engine(file, cache, 1);
+    for (index_t r = 0; r < spec.n; r += 100)
+      tickets.push_back(engine.prefetch({r, r + 50}));
+  }
+  for (IoEngine::Ticket& t : tickets) EXPECT_NO_THROW(t.wait());
+  for (index_t r = 0; r < spec.n; r += 100) {
+    EXPECT_TRUE(cache.contains(file.first_page_of_row(r))) << r;
+    EXPECT_TRUE(cache.contains(file.first_page_of_row(r + 50))) << r;
+  }
+}
+
+// A 2000-row .kmat cut to 100 rows after the engine opened it: a read past
+// the cut is an error, not zero rows, both on the calling thread and
+// through a prefetch ticket, and the I/O thread outlives the failure.
+class ShrunkFile : public SemTest {
+ protected:
+  void SetUp() override {
+    SemTest::SetUp();
+    spec_.n = 2000;
+    spec_.d = 8;
+    const std::string path = make_matrix(spec_);
+    file_ = std::make_unique<PageFile>(path, 4096);
+    engine_ = std::make_unique<IoEngine>(*file_, cache_, 1);
+    std::filesystem::resize_file(
+        path, data::kHeaderBytes + 100 * spec_.d * sizeof(value_t));
+  }
+  data::GeneratorSpec spec_;
+  PageCache cache_{1 << 20, 4096, 2};
+  std::unique_ptr<PageFile> file_;
+  std::unique_ptr<IoEngine> engine_;
+};
+
+TEST_F(ShrunkFile, FetchPastTheCutThrows) {
+  DenseMatrix out(1, spec_.d);
+  EXPECT_THROW(engine_->fetch_rows({1500}, out.data()), std::runtime_error);
+}
+
+TEST_F(ShrunkFile, PrefetchTicketRethrowsTheStagingFailure) {
+  EXPECT_THROW(engine_->prefetch({1500}).wait(), std::runtime_error);
+  // Rows before the cut still stage and fetch.
+  engine_->prefetch({10}).wait();
+  DenseMatrix out(1, spec_.d);
+  engine_->fetch_rows({10}, out.data());
+  EXPECT_EQ(out.at(0, 0), data::generate(spec_).at(10, 0));
 }
 
 /// Partition `part`'s published row `r`, or nullptr when it is not cached.

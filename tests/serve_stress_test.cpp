@@ -15,9 +15,9 @@
 #include <thread>
 #include <vector>
 
+#include "common/bounded_queue.hpp"
 #include "core/init.hpp"
 #include "data/generator.hpp"
-#include "serve/bounded_queue.hpp"
 #include "serve/front_end.hpp"
 
 namespace knor::serve {

@@ -282,7 +282,7 @@ TEST_F(StreamTest, AssignFileMatchesInMemoryForBothSources) {
 
   for (const auto source : {AssignOptions::Source::kMatrixIo,
                             AssignOptions::Source::kPageFile}) {
-    for (const int buffers : {2, 4}) {
+    for (const int buffers : {1, 2, 4}) {
       AssignServer server(centroids, opts);
       AssignOptions aopts;
       aopts.source = source;
@@ -373,6 +373,79 @@ TEST_F(StreamTest, AssignFileRejectsMismatchedShapes) {
   bad_page.page_size = 100;  // not a multiple of sizeof(value_t)
   AssignServer server2(DenseMatrix(4, 5), opts);
   EXPECT_THROW(server2.assign_file(path, bad_page), std::invalid_argument);
+  AssignOptions no_buffers;
+  no_buffers.io_buffers = 0;
+  EXPECT_THROW(server2.assign_file(path, no_buffers), std::invalid_argument);
+}
+
+// A sink's exception leaves assign_file on the calling thread, with the
+// reader stopped, and the server serves the next file whole.
+TEST_F(StreamTest, AssignFileSinkErrorPropagatesAndServerRecovers) {
+  const data::GeneratorSpec spec = make_spec(2500, 7, 4);
+  const std::string path = dir_ / "sink.kmat";
+  data::write_generated(path, spec);
+  const DenseMatrix data = data::generate(spec);
+  Options opts = base_opts(4, 2);
+  const DenseMatrix centroids = init_centroids(data.const_view(), opts);
+  std::vector<cluster_t> expect(data.rows());
+  AssignServer server(centroids, opts);
+  server.assign(data.const_view(), expect.data());
+
+  struct SinkFailure {};
+  for (const auto source : {AssignOptions::Source::kMatrixIo,
+                            AssignOptions::Source::kPageFile}) {
+    AssignOptions aopts;
+    aopts.source = source;
+    aopts.batch_rows = 300;
+    int calls = 0;
+    EXPECT_THROW(server.assign_file(path, aopts,
+                                    [&](index_t, const cluster_t*, index_t) {
+                                      if (++calls == 3) throw SinkFailure{};
+                                    }),
+                 SinkFailure);
+    EXPECT_EQ(calls, 3);
+
+    std::vector<cluster_t> got(data.rows(), kInvalidCluster);
+    const AssignStats stats = server.assign_file(
+        path, aopts, [&](index_t first, const cluster_t* assign,
+                         index_t count) {
+          std::memcpy(got.data() + first, assign, count * sizeof(cluster_t));
+        });
+    EXPECT_EQ(stats.rows, data.rows());
+    EXPECT_EQ(got, expect);
+  }
+}
+
+// A query file that shrinks while it is served is an error from either
+// source; the page source must not serve the missing rows as zeros. The
+// sink cuts the file to 150 rows on its first call. With two buffers the
+// reader cannot be past batch 2 then, so it reads past the cut.
+TEST_F(StreamTest, AssignFileThrowsWhenTheFileShrinks) {
+  const data::GeneratorSpec spec = make_spec(1000, 8, 4);
+  const DenseMatrix data = data::generate(spec);
+  Options opts = base_opts(4, 2);
+  const DenseMatrix centroids = init_centroids(data.const_view(), opts);
+  for (const auto source : {AssignOptions::Source::kMatrixIo,
+                            AssignOptions::Source::kPageFile}) {
+    const std::string path = dir_ / "shrinks.kmat";
+    data::write_generated(path, spec);
+    AssignServer server(centroids, opts);
+    AssignOptions aopts;
+    aopts.source = source;
+    aopts.batch_rows = 100;
+    aopts.io_buffers = 2;
+    int calls = 0;
+    EXPECT_THROW(
+        server.assign_file(path, aopts,
+                           [&](index_t, const cluster_t*, index_t) {
+                             if (calls++ == 0)
+                               std::filesystem::resize_file(
+                                   path, data::kHeaderBytes +
+                                             150 * spec.d * sizeof(value_t));
+                           }),
+        std::runtime_error);
+    EXPECT_LE(calls, 2);
+  }
 }
 
 // End-to-end: ingest a stream, freeze, serve — the served histogram over

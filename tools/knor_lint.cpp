@@ -19,6 +19,10 @@
 //   KL005  obs metric registered without an explicit Det::kDeterministic /
 //          Det::kTiming class — unclassified metrics leak timing noise
 //          into the deterministic export partition.
+//   KL006  condition_variable outside the one producer/consumer hand-off
+//          (common/bounded_queue.hpp) and the scheduler's, barrier's and
+//          collectives' own wake-ups — a hand-rolled queue duplicates
+//          close/drain logic and tends to lose its errors.
 //
 // Usage:
 //   knor_lint [--root DIR]          lint the default tree (src tools bench
@@ -190,6 +194,11 @@ const TokenRule kTokenRules[] = {
       {"random_device", false}},
      {"common/prng.hpp"},
      "ambient entropy; use the seeded PRNG in common/prng.hpp"},
+    {"KL006",
+     {{"condition_variable", false}},
+     {"common/bounded_queue.hpp", "sched/barrier.hpp", "sched/scheduler.hpp",
+      "dist/comm.hpp"},
+     "hand-rolled hand-off; build it on common/bounded_queue.hpp"},
 };
 
 /// KL004 trigger spellings: raw allocation of SIMD-fed element buffers.

@@ -53,8 +53,9 @@ subcommands:
       --out FILE        raw little-endian u32 assignment per row, row order
       --source io|page  read whole rows (matrix_io) or page extents
                         through the SEM PageFile (default io)
-      --io-buffers N    in-flight batches; the bound is the ingestion
-                        backpressure (default 2)
+      --io-buffers N    in-flight batches, N >= 1: 1 reads and assigns
+                        in turn, 2 or more overlap I/O with compute; the
+                        bound is the ingestion backpressure (default 2)
 
   snapshot FILE
       Print a snapshot's shape (k, d, batches, rows per cluster).
