@@ -12,8 +12,6 @@
 // patterns ... maximize prefetching and CPU caching" design.
 #pragma once
 
-#include <cmath>
-
 #include "common/types.hpp"
 
 namespace knor {
@@ -37,11 +35,6 @@ inline value_t dist_sq(const value_t* a, const value_t* b, index_t d) {
     s0 += dj * dj;
   }
   return (s0 + s1) + (s2 + s3);
-}
-
-/// Euclidean distance.
-inline value_t euclidean(const value_t* a, const value_t* b, index_t d) {
-  return std::sqrt(dist_sq(a, b, d));
 }
 
 /// Inner product (the spherical k-means kernel). The 2-way unrolled form

@@ -162,6 +162,16 @@ Result run_parallel_lloyd(Source& src, index_t n, index_t d,
                           IterObserver* observer = nullptr) {
   const int T = sched.threads();
   const int k = opts.k;
+  // Per-run registry slice (DESIGN.md §10): diff a snapshot around the run
+  // and attach it to the Result. Taken before the kernel table below is
+  // resolved, so the slice counts the run's kernels.dispatch.<isa>.
+  // Skipped when a reducer is present — knord ranks run concurrently in
+  // one process, so a per-rank diff would interleave with its siblings;
+  // dist::kmeans attaches the cluster-level diff instead.
+  obs::Registry& reg = obs::Registry::global();
+  obs::Snapshot obs_before;
+  if (reducer == nullptr) obs_before = reg.snapshot();
+
   // One ISA for the whole run, resolved from opts rather than the
   // process-global dispatch (concurrent runs with different --simd must not
   // retarget each other): every distance below (pruned candidate list,
@@ -173,15 +183,6 @@ Result run_parallel_lloyd(Source& src, index_t n, index_t d,
       sched::Scheduler::resolve_task_size(n, opts.task_size);
   const auto chunks = static_cast<std::size_t>(
       sched::Scheduler::num_chunks(n, task_size));
-
-  // Per-run registry slice (DESIGN.md §10): diff a snapshot around the run
-  // and attach it to the Result. Skipped when a reducer is present — knord
-  // ranks run concurrently in one process, so a per-rank diff would
-  // interleave with its siblings; dist::kmeans attaches the cluster-level
-  // diff instead.
-  obs::Registry& reg = obs::Registry::global();
-  obs::Snapshot obs_before;
-  if (reducer == nullptr) obs_before = reg.snapshot();
 
   const bool resumed = resume != nullptr && resume->iteration > 0;
   if (resumed) {

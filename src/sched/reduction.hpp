@@ -1,29 +1,13 @@
-// Parallel pairwise tree reduction (the paper's "parallel funnelsort-like
-// reduction routine", §5.2): merge T per-thread structures in O(log T)
-// barrier-separated rounds; round r merges item i+stride into item i in
-// parallel across threads.
-//
-// Runs *inside* an existing worker context: every worker calls
-// tree_reduce(tid, T, barrier, merge) after arriving at the pre-merge
-// barrier; `merge(dst, src)` must combine item src into item dst.
-// After return, item 0 holds the full reduction.
+// Fixed-association parallel tree reduction (the paper's "parallel
+// funnelsort-like reduction routine", §5.2), run inside an existing worker
+// context after the pre-merge barrier.
 #pragma once
 
 #include <cstddef>
-#include <functional>
 
 #include "sched/barrier.hpp"
 
 namespace knor::sched {
-
-template <typename MergeFn>
-void tree_reduce(int tid, int parties, Barrier& barrier, MergeFn&& merge) {
-  for (int stride = 1; stride < parties; stride *= 2) {
-    if (tid % (2 * stride) == 0 && tid + stride < parties)
-      merge(tid, tid + stride);
-    barrier.arrive_and_wait();
-  }
-}
 
 /// Fixed-association parallel fold of `count` slots into slot 0. The merge
 /// tree is a pure function of `count` (round r merges slot i + stride into

@@ -197,6 +197,16 @@ void Scheduler::parallel_for(index_t n, index_t task_size,
                              const numa::Partitioner* parts,
                              const std::function<void(int, const Task&)>& body) {
   begin_chunks(n, task_size, parts);
+  // A grid of at most one chunk runs on the caller's thread: waking the
+  // workers would cost a fork/join for one chunk. The chunk is claimed as
+  // its home thread, so the claim counts as `own` and kStatic (whose home
+  // thread alone may claim it) still runs it.
+  if (chunk_count() <= 1) {
+    Task task;
+    const int home = home_.empty() ? 0 : home_[0];
+    if (next_chunk(home, task)) body(home, task);
+    return;
+  }
   run([&](int tid) {
     Task task;
     while (next_chunk(tid, task)) body(tid, task);

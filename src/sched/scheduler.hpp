@@ -133,7 +133,8 @@ class Scheduler {
   /// false when all deques are drained. Thread-safe.
   bool next_chunk(int thread, Task& out);
 
-  /// Chunked work-stealing loop: body(tid, task) over [0, n).
+  /// Chunked work-stealing loop: body(tid, task) over [0, n). A grid of one
+  /// chunk runs inline on the calling thread, as tid == task.home_thread.
   void parallel_for(index_t n, index_t task_size,
                     const numa::Partitioner* parts,
                     const std::function<void(int, const Task&)>& body);

@@ -1,8 +1,8 @@
 #include "serve/front_end.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -47,6 +47,29 @@ struct Pending {
   Clock::time_point t_submit;
 };
 
+/// Writes the m smallest of dist[0..k) into top[0..m), ascending by
+/// (dist_sq, index), by insertion. Indices arrive in ascending order, so
+/// a strict `<` both to displace the m-th entry and to shift past an
+/// entry keeps equal distances in index order: the result is the sorted
+/// prefix, and top[0] is what nearest_blocked picks. Every comparison with
+/// a NaN is false, so a NaN neither moves ahead of an entry nor lets one
+/// move ahead of it: the result stays a defined function of dist.
+void select_top(const value_t* dist, int k, int m, TopEntry* top) {
+  int len = 0;
+  for (int c = 0; c < k; ++c) {
+    const value_t dc = dist[c];
+    int j;
+    if (len < m)
+      j = len++;
+    else if (dc < top[m - 1].dist_sq)
+      j = m - 1;
+    else
+      continue;
+    for (; j > 0 && dc < top[j - 1].dist_sq; --j) top[j] = top[j - 1];
+    top[j] = {static_cast<cluster_t>(c), dc};
+  }
+}
+
 }  // namespace
 
 struct QueryFrontEnd::Impl {
@@ -90,6 +113,8 @@ struct QueryFrontEnd::Impl {
     if (fopts.batch_window < 1)
       throw std::invalid_argument("serve: batch_window must be >= 1");
     pack.pack(centroids);
+    ids.resize(static_cast<std::size_t>(centroids.rows()));
+    std::iota(ids.begin(), ids.end(), cluster_t{0});
     for (auto& s : scratch)
       s.resize(static_cast<std::size_t>(centroids.rows()));
     dispatcher = std::thread([this] { dispatch_loop(); });
@@ -120,8 +145,10 @@ struct QueryFrontEnd::Impl {
   std::mutex close_mu;
   std::atomic<bool> closed{false};
 
-  /// Per-worker (dist_sq, centroid) scratch for top-m selection.
-  std::vector<std::vector<TopEntry>> scratch;
+  /// Centroid ids 0..k-1: the list a top-m row's dist_sq_list call names.
+  std::vector<cluster_t> ids;
+  /// Per-worker k squared distances for top-m selection.
+  std::vector<std::vector<value_t>> scratch;
   /// Mega-batch row maps, reused across batches (dispatcher-only).
   std::vector<const value_t*> row_ptr;
   std::vector<std::uint32_t> row_req;
@@ -235,7 +262,6 @@ void QueryFrontEnd::Impl::execute(
 
   const kernels::Ops& K = *ops;
   const int k = static_cast<int>(centroids.rows());
-  const index_t d = centroids.cols();
   const Clock::time_point t0 = Clock::now();
   {
     obs::Span span("serve_batch");
@@ -253,25 +279,14 @@ void QueryFrontEnd::Impl::execute(
               q.resp.assign[rr] =
                   K.nearest_blocked(row, pack, &q.resp.dist_sq[rr]);
             } else {
-              // All k distances through the ISA's dist_sq against the
-              // pack's rows (bitwise-equal to nearest_blocked's values),
-              // ordered by (dist_sq, index) — the serial oracle order.
-              for (int c = 0; c < k; ++c)
-                sc[static_cast<std::size_t>(c)] = {
-                    static_cast<cluster_t>(c),
-                    K.dist_sq(row, pack.row(c), d)};
-              std::sort(sc.begin(), sc.end(),
-                        [](const TopEntry& a, const TopEntry& b) {
-                          return a.dist_sq < b.dist_sq ||
-                                 (a.dist_sq == b.dist_sq &&
-                                  a.cluster < b.cluster);
-                        });
-              for (int j = 0; j < q.m; ++j)
-                q.resp.topm[rr * static_cast<std::size_t>(q.m) +
-                            static_cast<std::size_t>(j)] =
-                    sc[static_cast<std::size_t>(j)];
-              q.resp.assign[rr] = sc[0].cluster;
-              q.resp.dist_sq[rr] = sc[0].dist_sq;
+              // All k distances in one dist_sq_list call (each bitwise
+              // equal to dist_sq and to nearest_blocked's values), then
+              // the m least by (dist_sq, index) — the serial oracle order.
+              K.dist_sq_list(row, pack, ids.data(), k, sc.data());
+              TopEntry* top = &q.resp.topm[rr * static_cast<std::size_t>(q.m)];
+              select_top(sc.data(), k, q.m, top);
+              q.resp.assign[rr] = top[0].cluster;
+              q.resp.dist_sq[rr] = top[0].dist_sq;
             }
           }
         });

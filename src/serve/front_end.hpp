@@ -12,11 +12,12 @@
 // Determinism contract: every request's result depends only on its own
 // rows, the frozen centroids and the selected SIMD ISA — never on what it
 // was coalesced with. A mega-batch evaluates exactly `nearest_blocked(row,
-// pack)` per assignment row and the ISA's `dist_sq` per (row, centroid)
-// for top-m rows, so coalesced results are BITWISE identical to
-// per-request serial evaluation across client counts, worker counts,
-// batching windows and shed policies (tests/serve_test.cpp pins the full
-// grid). Top-m orders by (dist_sq, centroid index) — ties break toward
+// pack)` per assignment row and one `dist_sq_list` over all k centroids
+// (bitwise equal to the ISA's `dist_sq` per centroid) for a top-m row,
+// then selects its m least by insertion, so coalesced results are BITWISE
+// identical to per-request serial evaluation across client counts, worker
+// counts, batching windows and shed policies (tests/serve_test.cpp pins
+// the full grid). Top-m orders by (dist_sq, centroid index) — ties break toward
 // the lower index, matching nearest_blocked, so topm[0] always equals the
 // assignment. What a window coalesces IS arrival-timing-dependent, so
 // batch counts/sizes and every latency are kTiming metrics; only the

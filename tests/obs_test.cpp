@@ -278,6 +278,24 @@ TEST(ObsStripDiff, DeterministicPartitionStableAcrossRunsAndThreads) {
   }
 }
 
+TEST(ObsRunSlice, KnoriSliceCountsItsKernelDispatch) {
+  // knori resolves its kernel table inside its registry slice, so
+  // Result::metrics names the ISA the run computed with, once.
+  data::GeneratorSpec spec;
+  spec.n = 1000;
+  spec.d = 4;
+  spec.true_clusters = 3;
+  const DenseMatrix m = data::generate(spec);
+  Options opts;
+  opts.k = 3;
+  opts.threads = 2;
+  opts.max_iters = 5;
+  opts.seed = 5;
+  const Result res = kmeans(m.const_view(), opts);
+  const std::string isa = kernels::to_string(kernels::resolve(opts.simd));
+  EXPECT_EQ(res.metrics.value_or("kernels.dispatch." + isa, 0), 1) << isa;
+}
+
 TEST(ObsCounterParity, MetricsAgreeWithResultCountersForEveryEngine) {
   // The counter-parity contract (core/run_metrics.hpp): whatever an engine
   // reports in Result::counters must appear, identically, in its --metrics

@@ -5,8 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "numa/cost_model.hpp"
@@ -273,22 +273,6 @@ TEST(Scheduler, StealsFromCheapestRemoteNodeFirst) {
   EXPECT_EQ(visit_order, (std::vector<int>{0, 1, 3, 2}));
 }
 
-TEST(TreeReduce, SumsAllItemsIntoSlotZero) {
-  for (int T : {1, 2, 3, 4, 7, 8}) {
-    std::vector<long> items(static_cast<std::size_t>(T));
-    std::iota(items.begin(), items.end(), 1);  // 1..T
-    Barrier barrier(T);
-    Scheduler sched(T, test_topo());
-    sched.run([&](int tid) {
-      tree_reduce(tid, T, barrier, [&](int dst, int src) {
-        items[static_cast<std::size_t>(dst)] +=
-            items[static_cast<std::size_t>(src)];
-      });
-    });
-    EXPECT_EQ(items[0], static_cast<long>(T) * (T + 1) / 2) << "T=" << T;
-  }
-}
-
 TEST(TreeReduceFixed, AssociationDependsOnlyOnSlotCount) {
   // Fold 13 FP slots under several thread counts: the merge tree is fixed
   // by the count, so the result must be bitwise identical.
@@ -325,6 +309,53 @@ TEST(Scheduler, ParallelForBodyRunsOncePerChunk) {
     EXPECT_EQ(task.begin, static_cast<index_t>(task.chunk) * ts);
   });
   for (auto& r : runs) EXPECT_EQ(r.load(), 1);
+
+  // A one-chunk grid runs inline: exactly once, on the calling thread,
+  // claimed as its home thread. The home is not always thread 0: without a
+  // partitioner it is T-1, and a partitioner gives row 0 to thread 1 at
+  // n=2, T=3. Under kStatic only the home thread may claim it.
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const SchedPolicy policy : {SchedPolicy::kNumaAware,
+                                   SchedPolicy::kFifo, SchedPolicy::kStatic}) {
+    for (const int T : {1, 2, 3}) {
+      Scheduler s(T, topo, /*bind=*/true, policy);
+      for (const bool partitioned : {false, true}) {
+        for (const index_t rows : {index_t{1}, index_t{2}, index_t{64}}) {
+          const std::string what = std::string(to_string(policy)) +
+                                   " T=" + std::to_string(T) +
+                                   " parts=" + std::to_string(partitioned) +
+                                   " n=" + std::to_string(rows);
+          const numa::Partitioner parts(rows, T, topo);
+          s.reset_stats();
+          int calls = 0;
+          int home = -1;
+          s.parallel_for(rows, 0, partitioned ? &parts : nullptr,
+                         [&](int tid, const Task& task) {
+                           ++calls;
+                           home = task.home_thread;
+                           EXPECT_EQ(std::this_thread::get_id(), caller)
+                               << what;
+                           EXPECT_EQ(tid, task.home_thread) << what;
+                           EXPECT_EQ(task.size(), rows) << what;
+                         });
+          ASSERT_EQ(calls, 1) << what;
+          EXPECT_EQ(home, partitioned ? parts.thread_of_row(0) : T - 1)
+              << what;
+          EXPECT_EQ(s.stats(home).own, 1u) << what;
+          EXPECT_EQ(s.total_stats().total(), 1u) << what;
+        }
+      }
+      // Two chunks still fork: every body runs on a worker.
+      std::atomic<int> calls{0};
+      std::atomic<int> on_caller{0};
+      s.parallel_for(128, 64, nullptr, [&](int, const Task&) {
+        ++calls;
+        if (std::this_thread::get_id() == caller) ++on_caller;
+      });
+      EXPECT_EQ(calls.load(), 2) << to_string(policy) << " T=" << T;
+      EXPECT_EQ(on_caller.load(), 0) << to_string(policy) << " T=" << T;
+    }
+  }
 }
 
 }  // namespace

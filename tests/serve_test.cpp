@@ -7,14 +7,18 @@
 //    {1,4,16}, worker counts {1,4} and batching on/off — the grid the
 //    ISSUE pins.
 //  * Top-m equals the serial sorted-distance oracle including tie order
-//    (duplicate centroids resolve toward the lower index, matching
+//    for every available ISA, k in {5, 17, 64} and m in {1, 4, k}
+//    (duplicate centroids inside a kernel tile, across tiles and across
+//    the m-th position resolve toward the lower index, matching
 //    nearest_blocked), and topm[0] always equals the assignment.
 // The TSan CI job runs this suite too: many client threads against one
 // dispatcher must be race-clean.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <future>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -183,52 +187,92 @@ TEST(ServeTest, ResponsesBitwiseIdenticalAcrossClientWorkerWindowGrid) {
 
 TEST(ServeTest, TopMMatchesSerialSortedOracleIncludingTieOrder) {
   const DenseMatrix pool = data::generate(make_spec(300, 8, 5));
-  DenseMatrix centroids = init_centroids(pool.const_view(), base_opts(5, 1));
-  // Duplicate centroids: 3 is a bitwise copy of 1, so every query is
-  // equidistant from both and the (dist_sq, index) order is observable.
-  std::memcpy(centroids.row(3), centroids.row(1),
-              static_cast<std::size_t>(centroids.cols()) * sizeof(value_t));
-  const int k = 5;
+  const index_t d = pool.cols();
+  for (const int k : {5, 17, 64}) {
+    DenseMatrix centroids = init_centroids(pool.const_view(), base_opts(k, 1));
+    // Duplicate centroids (bitwise copies), so every query is equidistant
+    // from each group and the (dist_sq, index) order is observable. The
+    // blocked kernels take centroids in tiles of 4: 2 copies 1 inside tile
+    // 0, and 4, 9, 13 and k-1 (those below k) copy 3 across tiles.
+    const auto copy_row = [&](DenseMatrix& to, int dst, int src) {
+      std::memcpy(to.row(dst), centroids.row(src),
+                  static_cast<std::size_t>(d) * sizeof(value_t));
+    };
+    copy_row(centroids, 2, 1);
+    for (const int c : {4, 9, 13, k - 1})
+      if (c < k) copy_row(centroids, c, 3);
+    // Probes on centroids 0, 1 and 3 put a tie group at the top of the
+    // ranking, so for m = 1 and m = 4 a tie straddles the m-th position:
+    // at k=5 the probe on 0 ranks the pairs {1,2} and {3,4} at 1..4.
+    DenseMatrix probes(3, d);
+    copy_row(probes, 0, 0);
+    copy_row(probes, 1, 1);
+    copy_row(probes, 2, 3);
+    std::vector<ConstMatrixView> queries = {probes.const_view()};
+    for (int i = 0; i < 20; ++i)
+      queries.push_back(pool.const_view().sub_rows(i * 3, 2));
 
-  QueryFrontEnd fe(centroids, base_opts(k, 2), FrontEndOptions{});
-  kernels::CentroidPack pack;
-  pack.pack(centroids);
-  const kernels::Ops& K = fe.ops();
-  const index_t d = centroids.cols();
+    for (const kernels::Isa isa : kernels::available_isas()) {
+      Options opts = base_opts(k, 2);
+      opts.simd = isa;
+      QueryFrontEnd fe(centroids, opts, FrontEndOptions{});
+      ASSERT_EQ(fe.ops().isa, isa);
+      kernels::CentroidPack pack;
+      pack.pack(centroids);
+      const kernels::Ops& K = fe.ops();
 
-  Session session(fe);
-  for (int i = 0; i < 20; ++i) {
-    const ConstMatrixView v = pool.const_view().sub_rows(i * 3, 2);
-    const Response r = session.submit_topm(v, k).get();  // full ranking
-    ASSERT_FALSE(r.shed);
-    for (index_t row = 0; row < v.rows(); ++row) {
-      // Serial oracle: all k distances, sorted by (dist_sq, index).
-      std::vector<TopEntry> want(static_cast<std::size_t>(k));
-      for (int c = 0; c < k; ++c)
-        want[static_cast<std::size_t>(c)] = {static_cast<cluster_t>(c),
-                                             K.dist_sq(v.row(row),
-                                                       pack.row(c), d)};
-      std::sort(want.begin(), want.end(),
-                [](const TopEntry& a, const TopEntry& b) {
-                  return a.dist_sq < b.dist_sq ||
-                         (a.dist_sq == b.dist_sq && a.cluster < b.cluster);
-                });
-      for (int j = 0; j < k; ++j) {
-        const TopEntry got =
-            r.topm[static_cast<std::size_t>(row) * k +
-                   static_cast<std::size_t>(j)];
-        EXPECT_EQ(got.cluster, want[static_cast<std::size_t>(j)].cluster)
-            << "req " << i << " row " << row << " rank " << j;
-        EXPECT_EQ(got.dist_sq, want[static_cast<std::size_t>(j)].dist_sq)
-            << "req " << i << " row " << row << " rank " << j;
+      Session session(fe);
+      for (const int m : {1, 4, k}) {
+        for (std::size_t i = 0; i < queries.size(); ++i) {
+          const ConstMatrixView v = queries[i];
+          const std::string what = std::string(kernels::to_string(isa)) +
+                                   " k=" + std::to_string(k) +
+                                   " m=" + std::to_string(m) + " req " +
+                                   std::to_string(i);
+          const Response r = session.submit_topm(v, m).get();
+          ASSERT_FALSE(r.shed) << what;
+          ASSERT_EQ(r.topm.size(),
+                    static_cast<std::size_t>(v.rows()) *
+                        static_cast<std::size_t>(m))
+              << what;
+          for (index_t row = 0; row < v.rows(); ++row) {
+            // Serial oracle: all k distances, sorted by (dist_sq, index).
+            std::vector<TopEntry> want(static_cast<std::size_t>(k));
+            for (int c = 0; c < k; ++c)
+              want[static_cast<std::size_t>(c)] = {
+                  static_cast<cluster_t>(c),
+                  K.dist_sq(v.row(row), pack.row(c), d)};
+            std::sort(want.begin(), want.end(),
+                      [](const TopEntry& a, const TopEntry& b) {
+                        return a.dist_sq < b.dist_sq ||
+                               (a.dist_sq == b.dist_sq &&
+                                a.cluster < b.cluster);
+                      });
+            for (int j = 0; j < m; ++j) {
+              const TopEntry got =
+                  r.topm[static_cast<std::size_t>(row) *
+                             static_cast<std::size_t>(m) +
+                         static_cast<std::size_t>(j)];
+              EXPECT_EQ(got.cluster, want[static_cast<std::size_t>(j)].cluster)
+                  << what << " row " << row << " rank " << j;
+              EXPECT_EQ(got.dist_sq, want[static_cast<std::size_t>(j)].dist_sq)
+                  << what << " row " << row << " rank " << j;
+            }
+            // topm[0] is the assignment (and ties match nearest_blocked).
+            value_t sq = 0;
+            const cluster_t nearest = K.nearest_blocked(v.row(row), pack, &sq);
+            EXPECT_EQ(
+                r.topm[static_cast<std::size_t>(row) *
+                       static_cast<std::size_t>(m)].cluster,
+                nearest)
+                << what << " row " << row;
+            EXPECT_EQ(r.assign[static_cast<std::size_t>(row)], nearest)
+                << what << " row " << row;
+            EXPECT_EQ(r.dist_sq[static_cast<std::size_t>(row)], sq)
+                << what << " row " << row;
+          }
+        }
       }
-      // The duplicate pair must appear adjacent, lower index first.
-      // topm[0] is the assignment (and ties match nearest_blocked).
-      value_t sq = 0;
-      const cluster_t nearest = K.nearest_blocked(v.row(row), pack, &sq);
-      EXPECT_EQ(r.topm[static_cast<std::size_t>(row) * k].cluster, nearest);
-      EXPECT_EQ(r.assign[static_cast<std::size_t>(row)], nearest);
-      EXPECT_EQ(r.dist_sq[static_cast<std::size_t>(row)], sq);
     }
   }
 }
